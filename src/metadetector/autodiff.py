@@ -354,6 +354,14 @@ def backward(seed: Tensor) -> None:
             if id(p) not in visited:
                 stack.append((p, False))
 
+    # only nodes that reach a requires_grad leaf take part; the rest (a frozen
+    # embedding table and the ops on it) are never differentiated
+    live: set[int] = set()
+    for node in topo:  # parents come before their children
+        if (node.requires_grad if node.is_leaf()
+                else any(id(p) in live for p in node._parents)):
+            live.add(id(node))
+
     grads: dict[int, np.ndarray] = {id(seed): np.ones_like(seed.data)}
     for node in reversed(topo):
         g = grads.pop(id(node), None)
@@ -361,6 +369,8 @@ def backward(seed: Tensor) -> None:
             continue
         if node._backward is not None:
             for parent, pg in zip(node._parents, node._backward(g)):
+                if id(parent) not in live:
+                    continue
                 acc = grads.get(id(parent))
                 if acc is None:
                     grads[id(parent)] = np.array(pg, dtype=np.float64, copy=True)

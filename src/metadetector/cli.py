@@ -13,15 +13,13 @@ import json
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from .data_synth import SynthSpec, generate, inject_anomalies
 from .errors import MetaDetectorError
 from .evaluation import evaluate, export_weights
 from .mmd import shift_gate
 from .model import load_checkpoint, save_checkpoint
 from .text import EmbeddingTable, build_vocab, load_corpus, save_corpus
-from .training import TrainConfig, history_to_csv, train
+from .training import TrainConfig, embedding_rng, history_to_csv, train
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -111,7 +109,7 @@ def _cmd_mmd(args) -> int:
     target = load_corpus(args.target, role="target")
     vocab = build_vocab([source, target])
     table = EmbeddingTable.random_init(len(vocab), args.embedding_dim,
-                                       np.random.default_rng(args.seed))
+                                       embedding_rng(args.seed))
     report = shift_gate(source, target, vocab, table, d_star=args.d_star)
     print(json.dumps(report.to_dict()))
     return 0

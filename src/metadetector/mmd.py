@@ -2,7 +2,8 @@
 
 The gate statistic is computed once, before training, on mean-pooled word
 embeddings of each post; weighting is enabled iff the distance d_k reaches
-the threshold d*.
+the threshold d*. The gate reads the pooled distance matrix in blocks of
+rows and never holds it whole.
 """
 
 from __future__ import annotations
@@ -15,6 +16,11 @@ from .errors import DegenerateDataError, SampleSizeError
 from .text import PAD_ID, EmbeddingTable, EventCorpus, Vocabulary, tokenize
 
 N_KERNELS = 7
+# Rows of the pooled distance matrix that the shift gate holds at a time.
+GATE_BLOCK_ROWS = 512
+# Histogram keys are the top 19 value bits of a float64 (exponent and 8
+# mantissa bits): a bin spans 1/256 of a power of two.
+_KEY_SHIFT = 44
 
 
 @dataclass
@@ -60,21 +66,27 @@ def post_representation(ids: np.ndarray, table: EmbeddingTable) -> np.ndarray:
 
 
 def _pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    xx = (x ** 2).sum(axis=1, keepdims=True)
-    yy = (y ** 2).sum(axis=1, keepdims=True)
-    return np.maximum(xx + yy.T - 2.0 * (x @ y.T), 0.0)
+    d = (x ** 2).sum(axis=1, keepdims=True) + (y ** 2).sum(axis=1)
+    xy = x @ y.T
+    xy *= 2.0
+    d -= xy
+    return np.maximum(d, 0.0, out=d)
+
+
+def _median_bank(median: float, n_kernels: int = N_KERNELS) -> KernelBank:
+    """The median heuristic: sigma^2 in {median * 2^(j - n//2)}."""
+    return KernelBank(
+        sq_bandwidths=median * 2.0 ** (np.arange(n_kernels) - n_kernels // 2))
 
 
 def median_bandwidths(pairwise_sq_dists: np.ndarray,
                       n_kernels: int = N_KERNELS) -> KernelBank:
-    """Median heuristic bank: sigma^2 in {median * 2^(j - n//2)}."""
+    """Median heuristic bank over the positive entries of ``pairwise_sq_dists``."""
     d = np.asarray(pairwise_sq_dists, dtype=np.float64).ravel()
     positive = d[d > 0]
     if positive.size == 0:
         raise DegenerateDataError("all pairwise distances are zero")
-    base = float(np.median(positive))
-    bank = base * 2.0 ** (np.arange(n_kernels) - n_kernels // 2)
-    return KernelBank(sq_bandwidths=bank)
+    return _median_bank(float(np.median(positive)), n_kernels)
 
 
 def _mean_kernel(sq_dists: np.ndarray, bank: KernelBank) -> np.ndarray:
@@ -107,14 +119,108 @@ def corpus_representations(corpus: EventCorpus, vocab: Vocabulary,
     return np.stack(reps)
 
 
+def _upper_blocks(pooled: np.ndarray):
+    """The pooled squared-distance matrix, ``GATE_BLOCK_ROWS`` rows at a time.
+
+    Yields ``(i0, block)``: ``block[r, c]`` is the distance of rows
+    ``i0 + r`` and ``i0 + c``. Entries on and below the diagonal are set to
+    +inf, so a block holds only pairs i < j.
+    """
+    n = len(pooled)
+    for i0 in range(0, n, GATE_BLOCK_ROWS):
+        i1 = min(i0 + GATE_BLOCK_ROWS, n)
+        block = _pairwise_sq_dists(pooled[i0:i1], pooled[i0:])
+        block[:, :i1 - i0][np.tril_indices(i1 - i0)] = np.inf
+        yield i0, block
+
+
+def _gate_median(pooled: np.ndarray, centred: np.ndarray) -> float:
+    """Exact median of the non-zero distances ((x_i - x_j)^2).sum() over i < j.
+
+    Pass 1 ranks the pairs by their Gram-expansion distances, from blocks of
+    ``centred``: a histogram over the top bits of the float64 bit patterns,
+    which are monotone in the value, finds the bins that hold the median
+    ranks. A Gram distance is within ``margin`` (a bound on the rounding of
+    both forms) of the direct one, so pass 2 counts the pairs surely below
+    those bins widened by twice the margin, and recomputes the direct
+    distance of every pair inside them. Identical rows are the zero pairs:
+    they rank first and are left out.
+    """
+    n, dim = pooled.shape
+    hist = np.zeros(1 << (63 - _KEY_SHIFT), dtype=np.int64)
+    for _, block in _upper_blocks(centred):
+        hist += np.bincount((block.view(np.int64) >> _KEY_SHIFT).ravel(),
+                            minlength=hist.size)
+
+    _, copies = np.unique(pooled, axis=0, return_counts=True)
+    n_zero = int((copies * (copies - 1) // 2).sum())
+    n_pos = n * (n - 1) // 2 - n_zero
+    if n_pos == 0:
+        raise DegenerateDataError("all pairwise distances are zero")
+    ranks = [n_zero + (n_pos - 1) // 2, n_zero + n_pos // 2]
+    first, last = np.searchsorted(np.cumsum(hist), ranks, side="right")
+    lo, hi = (np.array([first, last + 1]) << _KEY_SHIFT).view(np.float64)
+    margin = 16.0 * (dim + 3) * np.finfo(np.float64).eps \
+        * float((centred ** 2).sum(axis=1).max())
+    lo, hi = lo - 2.0 * margin, hi + 2.0 * margin
+
+    below, direct = 0, []
+    for i0, block in _upper_blocks(centred):
+        below += int(np.count_nonzero(block < lo))
+        rows, cols = np.nonzero((block >= lo) & (block <= hi))
+        for s in range(0, len(rows), GATE_BLOCK_ROWS):
+            diff = pooled[i0 + rows[s:s + GATE_BLOCK_ROWS]] \
+                - pooled[i0 + cols[s:s + GATE_BLOCK_ROWS]]
+            direct.append((diff ** 2).sum(axis=1))
+    kept = np.partition(np.concatenate(direct), [r - below for r in ranks])
+    return float((kept[ranks[0] - below] + kept[ranks[1] - below]) / 2.0)
+
+
+def _gate_mmd_squared(centred: np.ndarray, n_source: int,
+                      bank: KernelBank) -> float:
+    """``mmd_squared`` of the first ``n_source`` rows against the rest.
+
+    Needs a median bank, whose bandwidths double from kernel to kernel: with
+    u = exp(-d / (2 sigma_max^2)) the kernels are u, u^2, u^4, ..., so one
+    exp and repeated squaring give them all. Sums run over pairs i < j; a
+    diagonal entry counts once (kernel 1), an off-diagonal entry twice.
+    """
+    n_k = len(bank.sq_bandwidths)
+    n_target = len(centred) - n_source
+    s_xx = s_yy = s_xy = 0.0
+    for i0, block in _upper_blocks(centred):
+        u = np.exp(np.divide(block, -2.0 * bank.sq_bandwidths[-1], out=block),
+                   out=block)
+        k = u.copy()
+        for _ in range(n_k - 1):
+            k += np.multiply(u, u, out=u)
+        src = max(n_source - i0, 0)  # source rows and columns of the block
+        s_xx += float(k[:src, :src].sum())
+        s_xy += float(k[:src, src:].sum())
+        s_yy += float(k[src:, src:].sum())
+    kxx = (n_source * n_k + 2.0 * s_xx) / (n_k * n_source ** 2)
+    kyy = (n_target * n_k + 2.0 * s_yy) / (n_k * n_target ** 2)
+    kxy = s_xy / (n_k * n_source * n_target)
+    return kxx + kyy - 2.0 * kxy
+
+
 def shift_gate(source: EventCorpus, target: EventCorpus, vocab: Vocabulary,
                table: EmbeddingTable, d_star: float = 0.8) -> ShiftReport:
-    """Distance d_k = sqrt(max(0, MMD^2)) over post representations; gate on d_k >= d*."""
+    """Distance d_k = sqrt(max(0, MMD^2)) over post representations; gate on d_k >= d*.
+
+    The bank is the median heuristic over distinct pairs of the pooled
+    posts. The pooled distance matrix is never held whole: memory is
+    O((n_s + n_t) * GATE_BLOCK_ROWS).
+    """
     xs = corpus_representations(source, vocab, table)
     ys = corpus_representations(target, vocab, table)
+    if len(xs) < 2 or len(ys) < 2:
+        raise SampleSizeError(
+            f"need at least 2 samples per side, got {len(xs)} and {len(ys)}")
     pooled = np.concatenate([xs, ys], axis=0)
-    bank = median_bandwidths(_pairwise_sq_dists(pooled, pooled))
-    d_k = float(np.sqrt(max(0.0, mmd_squared(xs, ys, bank))))
+    centred = pooled - pooled.mean(axis=0)  # same distances, smaller Gram rounding
+    bank = _median_bank(_gate_median(pooled, centred))
+    d_k = float(np.sqrt(max(0.0, _gate_mmd_squared(centred, len(xs), bank))))
     return ShiftReport(d_k=d_k, d_star=d_star, gate_open=d_k >= d_star,
                        n_source=len(xs), n_target=len(ys),
                        sq_bandwidths=[float(b) for b in bank.sq_bandwidths])

@@ -213,6 +213,17 @@ def _eval_accuracy(params: ModelParams, ids: np.ndarray, labels: np.ndarray,
     return correct / len(ids)
 
 
+def _seed_streams(seed: int) -> list[np.random.Generator]:
+    """Batch-order, dropout and embedding-table generators of a run seed."""
+    return [np.random.default_rng(s)
+            for s in np.random.SeedSequence(seed).spawn(3)]
+
+
+def embedding_rng(seed: int) -> np.random.Generator:
+    """The generator that ``train`` draws its embedding table from for ``seed``."""
+    return _seed_streams(seed)[2]
+
+
 def train(source: EventCorpus, target: EventCorpus,
           config: TrainConfig) -> tuple[ModelParams, list[EpochRecord], ShiftReport]:
     """Full adversarial training run; deterministic given ``config.seed``."""
@@ -220,20 +231,15 @@ def train(source: EventCorpus, target: EventCorpus,
         if post.label is None:
             raise ContractError(f"source post {post.id!r} is unlabeled")
 
-    ss = np.random.SeedSequence(config.seed)
-    batch_seq, drop_seq, emb_seq = ss.spawn(3)
-    batch_rng = np.random.default_rng(batch_seq)
-    drop_rng = np.random.default_rng(drop_seq)
+    batch_rng, drop_rng, emb_rng = _seed_streams(config.seed)
 
     vocab = build_vocab([source, target], min_count=config.min_count)
     k = config.k if config.k is not None else choose_k([source, target])
     if config.pretrained_vectors:
-        table = load_pretrained_vectors(config.pretrained_vectors, vocab,
-                                        np.random.default_rng(emb_seq),
+        table = load_pretrained_vectors(config.pretrained_vectors, vocab, emb_rng,
                                         trainable=not config.freeze_embeddings)
     else:
-        table = EmbeddingTable.random_init(len(vocab), config.embedding_dim,
-                                           np.random.default_rng(emb_seq),
+        table = EmbeddingTable.random_init(len(vocab), config.embedding_dim, emb_rng,
                                            trainable=not config.freeze_embeddings)
 
     params = init_model(vocab, table, k, config.seed,

@@ -265,3 +265,43 @@ def test_concat_backward_splits():
     backward((out * 2.0).sum())
     assert np.array_equal(a.grad, 2 * np.ones((2, 2)))
     assert np.array_equal(b.grad, 2 * np.ones((2, 3)))
+
+
+class TestPrunedBackward:
+    def test_frozen_table_skips_lookup_backward(self, monkeypatch):
+        from helpers import analytic_model_grads, build_tiny_model, random_batch
+        from metadetector import text
+
+        calls = []
+        lookup = text.embedding_lookup
+
+        def counted_lookup(table, ids):
+            out = lookup(table, ids)
+            bwd = out._backward
+
+            def counted_bwd(g):
+                calls.append(1)
+                return bwd(g)
+
+            out._backward = counted_bwd
+            return out
+
+        monkeypatch.setattr(text, "embedding_lookup", counted_lookup)
+
+        def grads(trainable_table):
+            params = build_tiny_model()
+            table = params.theta_f.embedding
+            table.trainable = table.weights.requires_grad = trainable_table
+            ids_s, y_s, ids_t = random_batch(params)
+            calls.clear()
+            g = analytic_model_grads(params, ids_s, y_s, ids_t, lam=0.5, mu=0.7,
+                                     weights=np.full(len(ids_s), 0.6))
+            others = [t for t in params.trainable_tensors()
+                      if t is not table.weights]
+            return [g[id(t)] for t in others], len(calls)
+
+        trained, trained_calls = grads(True)
+        frozen, frozen_calls = grads(False)
+        assert trained_calls == 2 and frozen_calls == 0
+        assert len(frozen) == len(trained)
+        assert all(np.array_equal(a, b) for a, b in zip(frozen, trained))

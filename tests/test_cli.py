@@ -124,3 +124,21 @@ def test_determinism_across_runs(capsys, corpora, tmp_path):
         return open(hist, "rb").read(), open(rep, "rb").read()
 
     assert run("a") == run("b")
+
+
+def test_mmd_reports_the_gate_train_uses(capsys, tmp_path):
+    src, tgt = str(tmp_path / "src.jsonl"), str(tmp_path / "tgt.jsonl")
+    code, _, _ = run_cli(capsys, "synth", "--out-source", src, "--out-target", tgt,
+                         "--n-source", "300", "--n-target", "300",
+                         "--shift", "0.9", "--seed", "5")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "mmd", "--source", src, "--target", tgt,
+                           "--seed", "5")
+    assert code == 0
+    gate = json.loads(out)
+    code, out, _ = run_cli(capsys, "train", "--source", src, "--target", tgt,
+                           "--out", str(tmp_path / "m.npz"), "--epochs", "1",
+                           "--seed", "5")
+    assert code == 0
+    shift = json.loads(out)["shift"]
+    assert (shift["d_k"], shift["gate_open"]) == (gate["d_k"], gate["gate_open"])

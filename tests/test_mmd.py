@@ -1,12 +1,17 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from metadetector.data_synth import SynthSpec, generate
+from metadetector import mmd
 from metadetector.errors import DegenerateDataError, SampleSizeError
 from metadetector.mmd import (
+    N_KERNELS,
     KernelBank,
+    corpus_representations,
     median_bandwidths,
     mmd_squared,
     post_representation,
@@ -124,3 +129,68 @@ class TestShiftGate:
         assert report.gate_open == (report.d_k >= 0.8)
         assert report.d_star == 0.8
         assert len(report.sq_bandwidths) == 7
+
+
+class TestBlockedGate:
+    """The gate holds GATE_BLOCK_ROWS rows of the pooled distances at a time."""
+
+    @staticmethod
+    def corpora(n_source, n_target, dim, duplicates=0):
+        spec = SynthSpec(n_source=n_source, n_target=n_target, shift=0.9,
+                         post_length=10, seed=5)
+        source, target = generate(spec)
+        if duplicates:  # repeated posts, within and across the events
+            source.posts[1:1 + duplicates] = [source.posts[0]] * duplicates
+            target.posts[:duplicates] = [
+                dataclasses.replace(p, event_id=target.event_id)
+                for p in source.posts[2:2 + duplicates]]
+        vocab = build_vocab([source, target])
+        table = EmbeddingTable.random_init(len(vocab), dim,
+                                           np.random.default_rng(0))
+        reps = np.concatenate([corpus_representations(c, vocab, table)
+                               for c in (source, target)])
+        return source, target, vocab, table, reps
+
+    @staticmethod
+    def direct_distances(reps):
+        """((x_i - x_j)^2).sum() over i < j, from the differences themselves."""
+        upper = np.triu_indices(len(reps), 1)
+        return ((reps[:, None] - reps[None]) ** 2).sum(-1)[upper]
+
+    def test_median_is_exact_over_distinct_pairs(self, monkeypatch):
+        monkeypatch.setattr(mmd, "GATE_BLOCK_ROWS", 64)
+        source, target, vocab, table, reps = self.corpora(150, 130, 8,
+                                                          duplicates=5)
+        d = self.direct_distances(reps)
+        assert np.count_nonzero(d == 0) > 5
+        report = shift_gate(source, target, vocab, table)
+        assert report.sq_bandwidths[N_KERNELS // 2] == np.median(d[d > 0])
+
+    def test_d_k_matches_double_loop_oracle(self, monkeypatch):
+        monkeypatch.setattr(mmd, "GATE_BLOCK_ROWS", 64)
+        source, target, vocab, table, reps = self.corpora(160, 140, 8,
+                                                          duplicates=3)
+        d = self.direct_distances(reps)
+        median = float(np.median(d[d > 0]))
+        bank = KernelBank(median * 2.0 ** np.arange(-3, 4))
+        xs, ys = reps[:len(source)], reps[len(source):]
+        expected = math.sqrt(max(0.0, naive_mmd_squared(xs, ys, bank)))
+        assert expected >= 0.05
+        d_k = shift_gate(source, target, vocab, table).d_k
+        assert d_k == pytest.approx(expected, rel=1e-9, abs=0)
+
+    def test_memory_grows_linearly(self):
+        source, target, vocab, table, _ = self.corpora(3000, 3000, 16)
+
+        def peak(n):
+            small_s = dataclasses.replace(source, posts=source.posts[:n])
+            small_t = dataclasses.replace(target, posts=target.posts[:n])
+            shift_gate(small_s, small_t, vocab, table)  # tokenizer cache warm-up
+            tracemalloc.start()
+            try:
+                shift_gate(small_s, small_t, vocab, table)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(3000) < 3 * peak(1500)
