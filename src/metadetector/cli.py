@@ -1,6 +1,6 @@
 """Command-line entry points: synth, mmd, train, eval, weights.
 
-Exit codes: 0 success, 1 usage error, 2 data/contract error. Reporting
+Exit codes: 0 success, 1 usage error, 2 data/contract or file error. Reporting
 subcommands print a JSON object first, then an aligned human-readable
 table where one exists.
 """
@@ -16,10 +16,9 @@ from dataclasses import asdict
 from .data_synth import SynthSpec, generate, inject_anomalies
 from .errors import MetaDetectorError
 from .evaluation import evaluate, export_weights
-from .mmd import shift_gate
 from .model import load_checkpoint, save_checkpoint
-from .text import EmbeddingTable, build_vocab, load_corpus, save_corpus
-from .training import TrainConfig, embedding_rng, history_to_csv, train
+from .text import load_corpus, save_corpus
+from .training import TrainConfig, history_to_csv, prepare, train
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -107,10 +106,9 @@ def _cmd_synth(args) -> int:
 def _cmd_mmd(args) -> int:
     source = load_corpus(args.source, role="source")
     target = load_corpus(args.target, role="target")
-    vocab = build_vocab([source, target])
-    table = EmbeddingTable.random_init(len(vocab), args.embedding_dim,
-                                       embedding_rng(args.seed))
-    report = shift_gate(source, target, vocab, table, d_star=args.d_star)
+    config = TrainConfig(seed=args.seed, d_star=args.d_star,
+                         embedding_dim=args.embedding_dim)
+    _, _, _, report = prepare(source, target, config)
     print(json.dumps(report.to_dict()))
     return 0
 
@@ -194,7 +192,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return _COMMANDS[args.command](args)
-    except MetaDetectorError as exc:
+    except (MetaDetectorError, OSError) as exc:  # OSError: a file cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -26,10 +26,7 @@ class ClassMetrics:
     zero_division: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"precision": self.precision, "recall": self.recall,
-                "f1": self.f1, "tp": self.tp, "fp": self.fp,
-                "tn": self.tn, "fn": self.fn,
-                "zero_division": self.zero_division}
+        return asdict(self)
 
 
 @dataclass
@@ -39,9 +36,7 @@ class MetricsReport:
     per_class: dict[str, ClassMetrics]
 
     def to_dict(self) -> dict:
-        return {"accuracy": self.accuracy, "n_evaluated": self.n_evaluated,
-                "per_class": {name: m.to_dict()
-                              for name, m in self.per_class.items()}}
+        return asdict(self)
 
     def to_table(self) -> str:
         lines = [f"{'class':<6} {'P':>8} {'R':>8} {'F1':>8}"]
@@ -85,11 +80,21 @@ def metrics_from_predictions(predictions: np.ndarray,
     return MetricsReport(accuracy=accuracy, n_evaluated=n, per_class=per_class)
 
 
-def _forward_chunks(params: ModelParams, corpus: EventCorpus, chunk: int = 500):
-    ids = np.stack([encode(p, params.vocab, params.k) for p in corpus.posts])
+def forward(params: ModelParams, ids: np.ndarray, chunk: int = 500):
+    """Extractor features of an (n, k) id matrix, ``chunk`` rows at a time, dropout off."""
     for start in range(0, len(ids), chunk):
         x = embed(ids[start:start + chunk], params.theta_f.embedding)
         yield extract_features(x, params.theta_f, training=False)
+
+
+def _forward_chunks(params: ModelParams, corpus: EventCorpus, chunk: int = 500):
+    yield from forward(params, encode(corpus, params.vocab, params.k), chunk)
+
+
+def predict(params: ModelParams, ids: np.ndarray) -> np.ndarray:
+    """Argmax detector class of each row of an (n, k) id matrix."""
+    return np.concatenate([detect(feats, params.theta_y).data.argmax(axis=1)
+                           for feats in forward(params, ids)])
 
 
 def evaluate(params: ModelParams, test: EventCorpus) -> MetricsReport:
@@ -97,11 +102,9 @@ def evaluate(params: ModelParams, test: EventCorpus) -> MetricsReport:
     for post in test.posts:
         if post.label is None:
             raise ContractError(f"test post {post.id!r} is unlabeled")
-    preds = []
-    for feats in _forward_chunks(params, test):
-        preds.append(detect(feats, params.theta_y).data.argmax(axis=1))
+    preds = predict(params, encode(test, params.vocab, params.k))
     labels = np.array([p.label for p in test.posts], dtype=np.int64)
-    return metrics_from_predictions(np.concatenate(preds), labels)
+    return metrics_from_predictions(preds, labels)
 
 
 @dataclass
@@ -112,8 +115,7 @@ class WeightEntry:
     pseudo_prob: float
 
     def to_dict(self) -> dict:
-        return {"post_id": self.post_id, "excerpt": self.excerpt,
-                "weight": self.weight, "pseudo_prob": self.pseudo_prob}
+        return asdict(self)
 
 
 @dataclass

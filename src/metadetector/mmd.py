@@ -8,12 +8,12 @@ rows and never holds it whole.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DegenerateDataError, SampleSizeError
-from .text import PAD_ID, EmbeddingTable, EventCorpus, Vocabulary, tokenize
+from .text import PAD_ID, EmbeddingTable, EventCorpus, Vocabulary
 
 N_KERNELS = 7
 # Rows of the pooled distance matrix that the shift gate holds at a time.
@@ -46,14 +46,7 @@ class ShiftReport:
     sq_bandwidths: list[float]
 
     def to_dict(self) -> dict:
-        return {
-            "d_k": self.d_k,
-            "d_star": self.d_star,
-            "gate_open": self.gate_open,
-            "n_source": self.n_source,
-            "n_target": self.n_target,
-            "sq_bandwidths": self.sq_bandwidths,
-        }
+        return asdict(self)
 
 
 def post_representation(ids: np.ndarray, table: EmbeddingTable) -> np.ndarray:
@@ -113,8 +106,8 @@ def mmd_squared(xs: np.ndarray, ys: np.ndarray, bank: KernelBank,
 def corpus_representations(corpus: EventCorpus, vocab: Vocabulary,
                            table: EmbeddingTable) -> np.ndarray:
     reps = []
-    for post in corpus.posts:
-        ids = np.array([vocab.id_for(t) for t in tokenize(post.text)], dtype=np.int64)
+    for tokens in corpus.tokens:
+        ids = np.array([vocab.id_for(t) for t in tokens], dtype=np.int64)
         reps.append(post_representation(ids, table))
     return np.stack(reps)
 

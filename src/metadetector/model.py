@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -242,8 +243,23 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ModelParams:
-    with np.load(path, allow_pickle=False) as npz:
+    """Read a checkpoint; a file that is not a complete one raises CheckpointError."""
+    try:
+        return _read_checkpoint(path)
+    except KeyError as exc:  # a missing array or metadata field
+        raise CheckpointError(f"{path}: incomplete checkpoint ({exc.args[0]})") from None
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from None
+
+
+def _read_checkpoint(path: str) -> ModelParams:
+    npz = np.load(path, allow_pickle=False)
+    if not isinstance(npz, np.lib.npyio.NpzFile):
+        raise CheckpointError(f"{path}: a single .npy array, not an npz checkpoint")
+    with npz:
         meta = json.loads(str(npz["__meta__"]))
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"{path}: metadata is not a JSON object")
         if meta.get("version") != _CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {meta.get('version')!r}")
         vocab = Vocabulary(

@@ -11,7 +11,7 @@ import math
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -56,6 +56,14 @@ class EventCorpus:
     def __len__(self) -> int:
         return len(self.posts)
 
+    @cached_property
+    def tokens(self) -> list[list[str]]:
+        """``tokenize(post.text)`` of each post, computed on first use.
+
+        The result is kept, so ``posts`` must not change after that.
+        """
+        return [tokenize(p.text) for p in self.posts]
+
 
 def _is_cjk(ch: str) -> bool:
     cp = ord(ch)
@@ -64,11 +72,6 @@ def _is_cjk(ch: str) -> bool:
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, strip edge punctuation, CJK to chars."""
-    return list(_tokenize_cached(text))
-
-
-@lru_cache(maxsize=1 << 16)
-def _tokenize_cached(text: str) -> tuple[str, ...]:
     tokens: list[str] = []
     for raw in text.lower().split():
         start, end = 0, len(raw)
@@ -94,7 +97,7 @@ def _tokenize_cached(text: str) -> tuple[str, ...]:
                 buf += ch
         if buf:
             tokens.append(buf)
-    return tuple(tokens)
+    return tokens
 
 
 @dataclass
@@ -124,8 +127,8 @@ def build_vocab(corpora: Iterable[EventCorpus], min_count: int = 1) -> Vocabular
     seen = False
     for corpus in corpora:
         seen = True
-        for post in corpus.posts:
-            counts.update(tokenize(post.text))
+        for tokens in corpus.tokens:
+            counts.update(tokens)
     if not seen:
         raise ContractError("build_vocab requires at least one corpus")
     kept = sorted((tok for tok, c in counts.items() if c >= min_count),
@@ -136,19 +139,21 @@ def build_vocab(corpora: Iterable[EventCorpus], min_count: int = 1) -> Vocabular
     return Vocabulary(token_to_id=mapping, min_count=min_count)
 
 
-def encode(post: Post, vocab: Vocabulary, k: int) -> np.ndarray:
-    """Token ids truncated/right-padded to exactly ``k``."""
+def encode(corpus: EventCorpus, vocab: Vocabulary, k: int) -> np.ndarray:
+    """(n, k) token ids, one row per post, truncated/right-padded to ``k``."""
     if k < 1:
         raise ConfigurationError(f"sequence length k must be >= 1, got {k}")
-    ids = [vocab.id_for(t) for t in tokenize(post.text)[:k]]
-    ids.extend([PAD_ID] * (k - len(ids)))
-    return np.array(ids, dtype=np.int64)
+    ids = np.full((len(corpus), k), PAD_ID, dtype=np.int64)
+    lookup = vocab.token_to_id.get
+    for row, tokens in zip(ids, corpus.tokens):
+        head = tokens[:k]
+        row[:len(head)] = [lookup(t, UNK_ID) for t in head]
+    return ids
 
 
 def choose_k(corpora: Iterable[EventCorpus], quantile: float = 0.95) -> int:
     """Smallest length covering the given quantile of post lengths, in [4, 256]."""
-    lengths = sorted(len(tokenize(p.text))
-                     for corpus in corpora for p in corpus.posts)
+    lengths = sorted(len(tokens) for corpus in corpora for tokens in corpus.tokens)
     if not lengths:
         raise ContractError("choose_k requires non-empty corpora")
     idx = max(0, math.ceil(quantile * len(lengths)) - 1)
@@ -226,27 +231,53 @@ def load_pretrained_vectors(path: str, vocab: Vocabulary,
 # -- corpus file I/O ----------------------------------------------------------
 
 
+def _parse_post(raw: bytes) -> Optional[Post]:
+    """One JSONL line as a post; None for a blank line."""
+    try:
+        line = raw.decode("utf-8").strip()
+    except UnicodeDecodeError:
+        raise ParseError("not valid UTF-8") from None
+    if not line:
+        return None
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON ({exc.msg})") from None
+    if not isinstance(obj, dict):
+        raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
+    try:
+        post = Post(id=str(obj["id"]), text=obj["text"],
+                    label=obj["label"], event_id=obj["event"])
+    except KeyError as exc:
+        raise ParseError(f"missing field {exc.args[0]!r}") from None
+    if not isinstance(post.text, str):
+        raise ParseError("text must be a string")
+    if not isinstance(post.event_id, str):
+        raise ParseError("event must be a string")
+    # bool is an int subclass: true would pass a plain ``in (0, 1)``
+    if post.label is not None and (type(post.label) is not int
+                                   or post.label not in (0, 1)):
+        raise ParseError("label must be 0, 1, or null")
+    return post
+
+
 def load_corpus(path: str, role: str) -> EventCorpus:
+    """Read a JSONL corpus of one event; errors name ``path, line N``."""
     posts: list[Post] = []
     event_id = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-            try:
-                post = Post(id=str(obj["id"]), text=obj["text"],
-                            label=obj["label"], event_id=obj["event"])
-            except KeyError as exc:
-                raise ParseError(f"line {lineno}: missing field {exc.args[0]!r}") from None
-            if post.label is not None and post.label not in (0, 1):
-                raise ParseError(f"line {lineno}: label must be 0, 1, or null")
-            if event_id is None:
-                event_id = post.event_id
+                post = _parse_post(raw)
+                if post is None:
+                    continue
+                if event_id is None:
+                    event_id = post.event_id
+                elif post.event_id != event_id:
+                    raise ParseError(
+                        f"event {post.event_id!r}, but earlier posts are {event_id!r}")
+            except ParseError as exc:
+                raise ParseError(f"{path}, line {lineno}: {exc}") from None
             posts.append(post)
     if not posts:
         raise ParseError(f"corpus file {path!r} contains no posts")

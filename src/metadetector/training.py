@@ -18,6 +18,7 @@ import numpy as np
 
 from .autodiff import Tensor, backward
 from .errors import ConfigurationError, ContractError, NumericalError
+from .evaluation import predict
 from .mmd import ShiftReport, shift_gate
 from .model import (
     ModelParams,
@@ -30,13 +31,26 @@ from .model import (
 from .text import (
     EmbeddingTable,
     EventCorpus,
+    Vocabulary,
     build_vocab,
     choose_k,
+    embed,
     encode,
     load_pretrained_vectors,
 )
 
 WEIGHTING_MODES = ("auto", "always_on", "always_off")
+_JSON_TYPES = {"float": (int, float), "int": int, "bool": bool, "str": str}
+
+
+def _json_value_fits(value, annotation: str) -> bool:
+    """Whether a JSON value may fill a field annotated ``annotation``."""
+    if value is None:
+        return annotation.startswith("Optional[")
+    base = annotation.removeprefix("Optional[").removesuffix("]")
+    if isinstance(value, bool):  # a subclass of int, but not a number here
+        return base == "bool"
+    return isinstance(value, _JSON_TYPES[base])
 
 
 @dataclass
@@ -74,13 +88,27 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "TrainConfig":
+        """A JSON object of field values; every error names ``path``."""
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise ConfigurationError(f"{path}: invalid JSON ({exc})") from None
+        if not isinstance(raw, dict):
+            raise ConfigurationError(
+                f"{path}: expected a JSON object, got {type(raw).__name__}")
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(raw) - set(types)
         if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**raw)
+            raise ConfigurationError(f"{path}: unknown config keys: {sorted(unknown)}")
+        for name, value in raw.items():
+            if not _json_value_fits(value, types[name]):
+                raise ConfigurationError(
+                    f"{path}: {name} must be {types[name]}, got {json.dumps(value)}")
+        try:
+            return cls(**raw)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
 
     def to_file(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -201,27 +229,31 @@ def _check_finite(name: str, value: float, epoch: int) -> float:
     return value
 
 
-def _eval_accuracy(params: ModelParams, ids: np.ndarray, labels: np.ndarray,
-                   chunk: int = 500) -> float:
-    from .text import embed  # local import to avoid cycle noise
-    correct = 0
-    for start in range(0, len(ids), chunk):
-        x = embed(ids[start:start + chunk], params.theta_f.embedding)
-        feats = extract_features(x, params.theta_f, training=False)
-        probs = detect(feats, params.theta_y)
-        correct += int((probs.data.argmax(axis=1) == labels[start:start + chunk]).sum())
-    return correct / len(ids)
-
-
 def _seed_streams(seed: int) -> list[np.random.Generator]:
     """Batch-order, dropout and embedding-table generators of a run seed."""
     return [np.random.default_rng(s)
             for s in np.random.SeedSequence(seed).spawn(3)]
 
 
-def embedding_rng(seed: int) -> np.random.Generator:
-    """The generator that ``train`` draws its embedding table from for ``seed``."""
-    return _seed_streams(seed)[2]
+def prepare(source: EventCorpus, target: EventCorpus, config: TrainConfig
+            ) -> tuple[Vocabulary, int, EmbeddingTable, ShiftReport]:
+    """The vocabulary, sequence length, embedding table and shift gate of a run.
+
+    The table is random or pretrained, frozen or not, and drawn from the
+    run seed's embedding-table generator, so ``config.seed`` fixes it.
+    """
+    vocab = build_vocab([source, target], min_count=config.min_count)
+    k = config.k if config.k is not None else choose_k([source, target])
+    emb_rng = _seed_streams(config.seed)[2]
+    trainable = not config.freeze_embeddings
+    if config.pretrained_vectors:
+        table = load_pretrained_vectors(config.pretrained_vectors, vocab, emb_rng,
+                                        trainable=trainable)
+    else:
+        table = EmbeddingTable.random_init(len(vocab), config.embedding_dim, emb_rng,
+                                           trainable=trainable)
+    shift = shift_gate(source, target, vocab, table, d_star=config.d_star)
+    return vocab, k, table, shift
 
 
 def train(source: EventCorpus, target: EventCorpus,
@@ -231,26 +263,15 @@ def train(source: EventCorpus, target: EventCorpus,
         if post.label is None:
             raise ContractError(f"source post {post.id!r} is unlabeled")
 
-    batch_rng, drop_rng, emb_rng = _seed_streams(config.seed)
-
-    vocab = build_vocab([source, target], min_count=config.min_count)
-    k = config.k if config.k is not None else choose_k([source, target])
-    if config.pretrained_vectors:
-        table = load_pretrained_vectors(config.pretrained_vectors, vocab, emb_rng,
-                                        trainable=not config.freeze_embeddings)
-    else:
-        table = EmbeddingTable.random_init(len(vocab), config.embedding_dim, emb_rng,
-                                           trainable=not config.freeze_embeddings)
-
+    batch_rng, drop_rng, _ = _seed_streams(config.seed)
+    vocab, k, table, shift = prepare(source, target, config)
     params = init_model(vocab, table, k, config.seed,
                         n_filters=config.n_filters, w_max=config.w_max,
                         config_snapshot=asdict(config))
-    shift = shift_gate(source, target, vocab, table, d_star=config.d_star)
 
-    from .text import embed
-    ids_s = np.stack([encode(p, vocab, k) for p in source.posts])
+    ids_s = encode(source, vocab, k)
     y_s = np.array([p.label for p in source.posts], dtype=np.int64)
-    ids_t = np.stack([encode(p, vocab, k) for p in target.posts])
+    ids_t = encode(target, vocab, k)
     target_labeled = all(p.label is not None for p in target.posts)
     y_t = (np.array([p.label for p in target.posts], dtype=np.int64)
            if target_labeled else None)
@@ -303,7 +324,7 @@ def train(source: EventCorpus, target: EventCorpus,
             wsum += float(wv.values.sum())
             wcount += len(wv.values)
 
-        target_acc = (_eval_accuracy(params, ids_t, y_t)
+        target_acc = (int((predict(params, ids_t) == y_t).sum()) / len(y_t)
                       if target_labeled else None)
         history.append(EpochRecord(
             epoch=epoch,
@@ -320,9 +341,7 @@ def train(source: EventCorpus, target: EventCorpus,
     return params, history, shift
 
 
-HISTORY_COLUMNS = ["epoch", "loss_detection", "loss_event", "loss_pseudo",
-                   "source_accuracy", "target_accuracy",
-                   "weight_mean", "weight_min", "weight_max"]
+HISTORY_COLUMNS = [f.name for f in fields(EpochRecord)]
 
 
 def history_to_csv(history: list[EpochRecord], path: str) -> None:

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from metadetector.cli import main
 from metadetector.text import load_corpus
@@ -142,3 +147,120 @@ def test_mmd_reports_the_gate_train_uses(capsys, tmp_path):
     assert code == 0
     shift = json.loads(out)["shift"]
     assert (shift["d_k"], shift["gate_open"]) == (gate["d_k"], gate["gate_open"])
+
+
+GOOD_POST = {"id": "p0", "text": "some words here", "label": 1, "event": "ev"}
+
+
+def _jsonl(*objs) -> str:
+    return "".join(json.dumps(o) + "\n" for o in objs)
+
+
+@pytest.fixture(scope="module")
+def checkpoint(corpora, tmp_path_factory):
+    src, tgt = corpora
+    path = str(tmp_path_factory.mktemp("ckpt") / "model.npz")
+    assert main(["train", "--source", src, "--target", tgt, "--out", path,
+                 "--epochs", "1", "--batch-size", "20"]) == 0
+    return path
+
+
+def _write_bad_input(case, d, checkpoint):
+    """Write the bad file of ``case`` into ``d``; return (its path, command)."""
+    if case.startswith("corpus-"):
+        path = d / "bad.jsonl"
+        if case == "corpus-missing":
+            return path, "corpus"
+        second = {
+            "corpus-array-line": "[1, 2]\n",
+            "corpus-text-not-string": _jsonl({**GOOD_POST, "text": 5}),
+            "corpus-label-bool": _jsonl({**GOOD_POST, "label": True}),
+            "corpus-mixed-events": _jsonl({**GOOD_POST, "event": "other"}),
+        }[case]
+        path.write_text(_jsonl(GOOD_POST) + second)
+        return path, "corpus"
+    if case.startswith("config-"):
+        path = d / "cfg.json"
+        if case != "config-missing":
+            path.write_text({"config-invalid-json": "{not json",
+                             "config-not-object": "[1, 2]",
+                             "config-string-for-int": '{"epochs": "5"}',
+                             "config-bool-for-int": '{"epochs": true}'}[case])
+        return path, "config"
+    path = d / "bad.npz"
+    if case == "checkpoint-not-npz":
+        path.write_text("not an archive\n")
+    elif case == "checkpoint-truncated":
+        data = open(checkpoint, "rb").read()
+        path.write_bytes(data[:len(data) // 2])
+    elif case in ("checkpoint-no-meta", "checkpoint-missing-array"):
+        with np.load(checkpoint) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+        del arrays["__meta__" if case == "checkpoint-no-meta" else "f_w_fc"]
+        np.savez(path, **arrays)
+    return path, "checkpoint"
+
+
+BAD_INPUTS = ["corpus-missing", "corpus-array-line", "corpus-text-not-string",
+              "corpus-label-bool", "corpus-mixed-events",
+              "checkpoint-missing", "checkpoint-not-npz", "checkpoint-truncated",
+              "checkpoint-no-meta", "checkpoint-missing-array",
+              "config-missing", "config-invalid-json", "config-not-object",
+              "config-string-for-int", "config-bool-for-int"]
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exits_2_without_traceback(case, capsys, corpora, checkpoint,
+                                             tmp_path):
+    src, tgt = corpora
+    bad, kind = _write_bad_input(case, tmp_path, checkpoint)
+    argv = {"corpus": ["eval", "--checkpoint", checkpoint, "--corpus", str(bad)],
+            "checkpoint": ["eval", "--checkpoint", str(bad), "--corpus", tgt],
+            "config": ["train", "--source", src, "--target", tgt,
+                       "--config", str(bad), "--out", str(tmp_path / "m.npz")],
+            }[kind]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert str(bad) in err
+    if case.startswith("corpus-") and case != "corpus-missing":
+        assert f"{bad}, line 2:" in err
+
+
+def corrupt_lines():
+    """One JSONL line that is not a valid post of event "ev", as bytes."""
+    good = json.dumps(GOOD_POST)
+    not_object = st.one_of(st.none(), st.booleans(), st.integers(),
+                           st.text(max_size=5),
+                           st.lists(st.integers(), max_size=3)).map(json.dumps)
+    wrong_value = st.one_of(
+        st.tuples(st.just("text"), st.one_of(
+            st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+            st.lists(st.text(max_size=3), max_size=2))),
+        st.tuples(st.just("label"), st.one_of(
+            st.booleans(), st.integers().filter(lambda v: v not in (0, 1)),
+            st.floats(allow_nan=False), st.text(max_size=3))),
+        st.tuples(st.just("event"), st.one_of(
+            st.none(), st.integers(), st.text(max_size=5).filter(lambda e: e != "ev"))),
+    ).map(lambda kv: json.dumps({**GOOD_POST, kv[0]: kv[1]}))
+    missing_field = st.sampled_from(sorted(GOOD_POST)).map(
+        lambda f: json.dumps({k: v for k, v in GOOD_POST.items() if k != f}))
+    truncated = st.integers(1, len(good) - 1).map(lambda n: good[:n])
+    text_lines = st.one_of(not_object, wrong_value, missing_field, truncated)
+    not_utf8 = st.tuples(st.binary(max_size=8).filter(lambda b: b"\n" not in b),
+                         st.sampled_from([b"\xff", b"\xc3(", b"\x80", b"\xed\xa0\x80"])
+                         ).map(b"".join)
+    return st.one_of(text_lines.map(str.encode), not_utf8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(line=corrupt_lines())
+def test_corrupt_corpus_line_exits_2(line, corpora, tmp_path_factory):
+    _, tgt = corpora
+    bad = tmp_path_factory.mktemp("fuzz") / "bad.jsonl"
+    bad.write_bytes(json.dumps(GOOD_POST).encode() + b"\n" + line + b"\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["mmd", "--source", str(bad), "--target", tgt])
+    assert code == 2
+    assert err.getvalue().startswith(f"error: {bad}, line 2:")

@@ -185,7 +185,7 @@ class TestBlockedGate:
         def peak(n):
             small_s = dataclasses.replace(source, posts=source.posts[:n])
             small_t = dataclasses.replace(target, posts=target.posts[:n])
-            shift_gate(small_s, small_t, vocab, table)  # tokenizer cache warm-up
+            shift_gate(small_s, small_t, vocab, table)  # fills small_s/t.tokens
             tracemalloc.start()
             try:
                 shift_gate(small_s, small_t, vocab, table)

@@ -69,26 +69,23 @@ class TestBuildVocab:
 class TestEncode:
     def test_padding(self):
         vocab = build_vocab([corpus_of(["a b"])])
-        post = Post(id="x", text="a b", label=None, event_id="ev1")
-        ids = encode(post, vocab, 4)
+        ids = encode(corpus_of(["a b"]), vocab, 4)[0]
         assert len(ids) == 4
         assert list(ids[2:]) == [PAD_ID, PAD_ID]
 
     def test_truncation(self):
         vocab = build_vocab([corpus_of(["a b c d e f"])])
-        post = Post(id="x", text="a b c d e f", label=None, event_id="ev1")
-        assert len(encode(post, vocab, 4)) == 4
-        assert PAD_ID not in encode(post, vocab, 4)
+        corpus = corpus_of(["a b c d e f"])
+        assert len(encode(corpus, vocab, 4)[0]) == 4
+        assert PAD_ID not in encode(corpus, vocab, 4)[0]
 
     def test_unseen_maps_to_unk(self):
         vocab = build_vocab([corpus_of(["a"])])
-        post = Post(id="x", text="zzz", label=None, event_id="ev1")
-        assert encode(post, vocab, 2)[0] == UNK_ID
+        assert encode(corpus_of(["zzz"]), vocab, 2)[0][0] == UNK_ID
 
     def test_roundtrip_in_vocab(self):
         vocab = build_vocab([corpus_of(["alpha beta"])])
-        post = Post(id="x", text="alpha beta", label=None, event_id="ev1")
-        ids = encode(post, vocab, 2)
+        ids = encode(corpus_of(["alpha beta"]), vocab, 2)[0]
         tokens = vocab.tokens_by_id
         assert [tokens[i] for i in ids] == ["alpha", "beta"]
 

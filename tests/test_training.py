@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from metadetector import text
 from metadetector.autodiff import Tensor, backward
 from metadetector.data_synth import SynthSpec, generate
 from metadetector.errors import ConfigurationError, ContractError
@@ -232,6 +233,21 @@ class TestTrain:
         source.posts[3].label = None
         with pytest.raises(ContractError, match=source.posts[3].id):
             train(source, target, TrainConfig(epochs=1, batch_size=10))
+
+    def test_train_tokenizes_each_post_once(self, monkeypatch):
+        spec = SynthSpec(n_source=60, n_target=40, post_length=8, seed=2)
+        source, target = generate(spec)
+        calls = []
+        tokenize = text.tokenize
+
+        def counted(post_text):
+            calls.append(post_text)
+            return tokenize(post_text)
+
+        monkeypatch.setattr(text, "tokenize", counted)
+        train(source, target, TrainConfig(epochs=2, batch_size=20,
+                                          embedding_dim=8, n_filters=4))
+        assert len(calls) == len(source) + len(target)
 
     def test_history_csv(self, run, tmp_path):
         _, history, _ = run
