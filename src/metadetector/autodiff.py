@@ -1,12 +1,13 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 Provides exactly the operations the detection model needs (dense matmul,
-valid text convolution, max-over-time pooling, the usual activations,
-inverted dropout, embedding lookup) plus a gradient-reversal node. Graphs
-are implicit tapes: each op output records its parent tensors and a
-backward closure, and :func:`backward` walks the tape in reverse
-topological order, accumulating gradients into leaf tensors. No general
-broadcasting, no GPU, no higher-order derivatives.
+the fused Text-CNN feature op, the usual activations, inverted dropout, a
+row split) plus a gradient-reversal node. The unfused embedding lookup,
+valid text convolution and max-over-time pooling stay as the reference the
+fused op is tested against. Graphs are implicit tapes: each op output
+records its parent tensors and a backward closure, and :func:`backward`
+walks the tape in reverse topological order, accumulating gradients into
+leaf tensors. No general broadcasting, no GPU, no higher-order derivatives.
 """
 
 from __future__ import annotations
@@ -27,10 +28,12 @@ LOG_CLAMP = 1e-12  # probabilities are clamped here before any log
 
 
 class Tensor:
-    """Dense float64 array with an accumulated-gradient buffer.
+    """Dense float64 array; a leaf also holds an accumulated-gradient buffer.
 
-    ``grad`` always has the same shape as ``data``. Gradients accumulate
-    across successive :func:`backward` calls until :meth:`zero_grad`.
+    A leaf (a tensor made by this constructor) has ``grad`` of the same
+    shape as ``data``; gradients accumulate there across successive
+    :func:`backward` calls until :meth:`zero_grad`. An op output has
+    ``grad = None``: its gradient lives only inside :func:`backward`.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -144,7 +147,10 @@ def _as_tensor(x) -> Tensor:
 
 def _op(data: np.ndarray, parents: Sequence[Tensor],
         bwd: Callable[[np.ndarray], tuple]) -> Tensor:
-    out = Tensor(data)
+    out = Tensor.__new__(Tensor)  # no grad buffer: only leaves keep one
+    out.data = np.asarray(data, dtype=np.float64)
+    out.grad = None
+    out.requires_grad = False
     out._parents = tuple(parents)
     out._backward = bwd
     return out
@@ -179,6 +185,23 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
     return _op(data, tensors, lambda g: tuple(np.split(g, splits, axis=axis)))
+
+
+def split_rows(x: Tensor, n: int) -> tuple[Tensor, Tensor]:
+    """The first ``n`` rows of ``x`` and the rest, as two graph nodes."""
+    if not 0 <= n <= x.shape[0]:
+        raise DimensionError(f"cannot split {x.shape[0]} rows at {n}")
+    shape = x.shape
+
+    def part(rows: slice) -> Tensor:
+        def bwd(g: np.ndarray) -> tuple:
+            gx = np.zeros(shape)
+            gx[rows] = g
+            return (gx,)
+
+        return _op(x.data[rows], (x,), bwd)
+
+    return part(slice(0, n)), part(slice(n, None))
 
 
 # -- activations ------------------------------------------------------------
@@ -268,6 +291,82 @@ def max_pool_full(c: Tensor) -> Tensor:
         return (gc,)
 
     return _op(data, (c,), bwd)
+
+
+def text_cnn(table: Tensor, ids: np.ndarray, filters: Sequence[Tensor],
+             biases: Sequence[Tensor]) -> Tensor:
+    """Embed, convolve and max-pool a batch of id rows in one op (Kim 2014).
+
+    ``ids`` is ``(B, k)``; ``filters[h-1]`` is ``(n_c, d, h)`` and
+    ``biases[h-1]`` is ``(n_c,)`` for windows ``h = 1 .. w_max``. The
+    output ``(B, w_max * n_c)`` holds window h's maxima in column block
+    h-1, each over the ``k - h + 1`` valid positions: the same as
+    ``concat([max_pool_full(conv_text(embedding_lookup(table, ids), f, b))
+    ...], axis=-1)``, up to matmul rounding. The gradient goes to the first
+    argmax; the PAD row gets none, and no table gradient is computed while
+    ``table.requires_grad`` is false.
+    """
+    ids = np.asarray(ids)
+    if ids.ndim != 2:
+        raise DimensionError(f"ids must be 2-D, got shape {ids.shape}")
+    vocab_size, d = table.shape
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
+        raise VocabMismatchError(
+            f"token id out of range for table of size {vocab_size}")
+    if not filters:
+        raise EmptySequenceError("text_cnn needs at least one filter bank")
+    n_b, k = ids.shape
+    w_max, n_c = len(filters), filters[0].shape[0]
+    for h, f in enumerate(filters, start=1):
+        if f.shape != (n_c, d, h):
+            raise DimensionError(
+                f"filter bank {h} has shape {f.shape}, expected {(n_c, d, h)}")
+    if w_max > k:
+        raise ConfigurationError(f"window size {w_max} exceeds sequence length {k}")
+    n_out = w_max * n_c
+
+    # one bank of w_max-wide filters; offsets past a filter's own window are 0
+    bank = np.zeros((n_out, w_max, d))
+    for h, f in enumerate(filters, start=1):
+        bank[(h - 1) * n_c:h * n_c, :h] = f.data.transpose(0, 2, 1)
+    bank_flat = bank.reshape(n_out, w_max * d)
+    padded = np.zeros((n_b, k + w_max - 1), dtype=ids.dtype)  # right-padded with PAD
+    padded[:, :k] = ids
+    window_ids = np.lib.stride_tricks.sliding_window_view(padded, w_max, axis=1)
+    cols = table.data[window_ids].reshape(n_b * k, w_max * d)  # im2col by gather
+    conv = (cols @ bank_flat.T).reshape(n_b, k, n_out)
+    # bias, and -inf where a window h runs past the sequence (its last h-1 positions)
+    h_of = np.repeat(np.arange(1, w_max + 1), n_c)
+    offset = np.where(np.arange(k)[:, None] > k - h_of, -np.inf, 0.0)
+    offset += np.concatenate([b.data for b in biases])
+    conv += offset
+    arg = conv.argmax(axis=1)  # (B, n_out), first maximum
+    rows = np.arange(n_b)[:, None]
+    data = conv[rows, arg, np.arange(n_out)]
+
+    def bwd(g: np.ndarray) -> tuple:
+        # only the winning windows carry gradient
+        wins = cols.reshape(n_b, k, w_max * d)[rows, arg]  # (B, n_out, w_max*d)
+        g_bank = np.einsum("bc,bcx->cx", g, wins).reshape(n_out, w_max, d)
+        gfs = [g_bank[(h - 1) * n_c:h * n_c, :h].transpose(0, 2, 1)
+               for h in range(1, w_max + 1)]
+        gbs = list(g.sum(axis=0).reshape(w_max, n_c))
+        gt = None
+        if table.requires_grad:
+            # sum g per (token, filter, offset), then multiply by the bank once
+            uniq, inv = np.unique(padded, return_inverse=True)
+            inv = inv.reshape(padded.shape)
+            toks = np.lib.stride_tricks.sliding_window_view(inv, w_max, axis=1)[rows, arg]
+            keys = toks * (n_out * w_max) + np.arange(n_out * w_max).reshape(n_out, w_max)
+            sums = np.bincount(keys.reshape(-1),
+                               weights=np.repeat(g.reshape(-1), w_max),
+                               minlength=len(uniq) * n_out * w_max)
+            gt = np.zeros((vocab_size, d))
+            gt[uniq] = sums.reshape(len(uniq), n_out * w_max) @ bank.reshape(-1, d)
+            gt[0] = 0.0  # PAD row stays frozen
+        return (gt, *gfs, *gbs)
+
+    return _op(data, (table, *filters, *biases), bwd)
 
 
 # -- stochastic / structural nodes -------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ContractError
 from .model import ModelParams, detect, extract_features, pseudo_discriminate
-from .text import EventCorpus, embed, encode
+from .text import EventCorpus, encode
 
 CLASS_NAMES = {0: "fake", 1: "real"}
 
@@ -83,8 +83,7 @@ def metrics_from_predictions(predictions: np.ndarray,
 def forward(params: ModelParams, ids: np.ndarray, chunk: int = 500):
     """Extractor features of an (n, k) id matrix, ``chunk`` rows at a time, dropout off."""
     for start in range(0, len(ids), chunk):
-        x = embed(ids[start:start + chunk], params.theta_f.embedding)
-        yield extract_features(x, params.theta_f, training=False)
+        yield extract_features(ids[start:start + chunk], params.theta_f, training=False)
 
 
 def _forward_chunks(params: ModelParams, corpus: EventCorpus, chunk: int = 500):

@@ -15,17 +15,15 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
-    concat,
-    conv_text,
     dropout,
     grl,
     matmul,
-    max_pool_full,
     relu,
     sigmoid,
     softmax_rows,
+    text_cnn,
 )
-from .errors import CheckpointError, ConfigurationError
+from .errors import CheckpointError
 from .text import EmbeddingTable, Vocabulary
 
 FEATURE_DIM = 32
@@ -155,18 +153,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return matmul(x, w.T) + b
 
 
-def extract_features(batch: Tensor, theta_f: FeatureExtractorParams,
+def extract_features(ids: np.ndarray, theta_f: FeatureExtractorParams,
                      training: bool = False,
                      rng: Optional[np.random.Generator] = None,
                      dropout_rate: float = 0.0) -> Tensor:
-    """Text-CNN feature map: conv per window, max-pool, dropout, relu(fc)."""
-    k = batch.shape[-1]
-    if k < theta_f.w_max:
-        raise ConfigurationError(
-            f"sequence length {k} shorter than largest window {theta_f.w_max}")
-    pooled = [max_pool_full(conv_text(batch, f, b))
-              for f, b in zip(theta_f.filters, theta_f.conv_biases)]
-    c_temp = concat(pooled, axis=-1)
+    """Text-CNN features of a ``(B, k)`` id matrix: embed, conv per window,
+    max-pool (one fused op), dropout, relu(fc)."""
+    c_temp = text_cnn(theta_f.embedding.weights, ids,
+                      theta_f.filters, theta_f.conv_biases)
     c_temp = dropout(c_temp, dropout_rate, training, rng)
     return relu(linear(c_temp, theta_f.w_fc, theta_f.b_fc))
 

@@ -196,36 +196,49 @@ def load_pretrained_vectors(path: str, vocab: Vocabulary,
     """Textual word2vec format: header "N d", then lines "token v1 .. vd".
 
     Vocabulary tokens found in the file take the file vectors; the rest are
-    random-initialized; PAD is forced to zero.
+    random-initialized; PAD is forced to zero. Errors name ``path, line N``.
     """
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        parts = header.split()
-        if len(parts) != 2:
-            raise ParseError(f"line 1: expected header 'N d', got {header.strip()!r}")
+    lineno = 1
+    with open(path, "rb") as fh:
         try:
-            n, dim = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"line 1: non-integer header {header.strip()!r}") from None
-        table = EmbeddingTable.random_init(len(vocab), dim, rng, trainable=trainable)
-        for lineno in range(2, n + 2):
-            line = fh.readline()
-            if not line:
-                raise ParseError(f"line {lineno}: file ends before {n} vectors read")
-            fields = line.rstrip("\n").split(" ")
-            if len(fields) != dim + 1:
-                raise ParseError(
-                    f"line {lineno}: expected token + {dim} values, got {len(fields)} fields")
-            token = fields[0]
+            header = _decode(fh.readline())
+            parts = header.split()
+            if len(parts) != 2:
+                raise ParseError(f"expected header 'N d', got {header.strip()!r}")
             try:
-                vec = np.array([float(v) for v in fields[1:]])
+                n, dim = int(parts[0]), int(parts[1])
             except ValueError:
-                raise ParseError(f"line {lineno}: non-numeric vector component") from None
-            idx = vocab.token_to_id.get(token)
-            if idx is not None and idx != PAD_ID:
-                table.weights.data[idx] = vec
+                raise ParseError(f"non-integer header {header.strip()!r}") from None
+            if n < 0 or dim < 1:
+                raise ParseError(f"header needs N >= 0 and d >= 1, got {header.strip()!r}")
+            table = EmbeddingTable.random_init(len(vocab), dim, rng, trainable=trainable)
+            for lineno in range(2, n + 2):
+                raw = fh.readline()
+                if not raw:
+                    raise ParseError(f"file ends before {n} vectors read")
+                fields = _decode(raw).rstrip("\n").split(" ")
+                if len(fields) != dim + 1:
+                    raise ParseError(
+                        f"expected token + {dim} values, got {len(fields)} fields")
+                token = fields[0]
+                try:
+                    vec = np.array([float(v) for v in fields[1:]])
+                except ValueError:
+                    raise ParseError("non-numeric vector component") from None
+                idx = vocab.token_to_id.get(token)
+                if idx is not None and idx != PAD_ID:
+                    table.weights.data[idx] = vec
+        except ParseError as exc:
+            raise ParseError(f"{path}, line {lineno}: {exc}") from None
     table.weights.data[PAD_ID] = 0.0
     return table
+
+
+def _decode(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ParseError("not valid UTF-8") from None
 
 
 # -- corpus file I/O ----------------------------------------------------------
@@ -233,10 +246,7 @@ def load_pretrained_vectors(path: str, vocab: Vocabulary,
 
 def _parse_post(raw: bytes) -> Optional[Post]:
     """One JSONL line as a post; None for a blank line."""
-    try:
-        line = raw.decode("utf-8").strip()
-    except UnicodeDecodeError:
-        raise ParseError("not valid UTF-8") from None
+    line = _decode(raw).strip()
     if not line:
         return None
     try:

@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .autodiff import Tensor, backward
+from .autodiff import Tensor, backward, split_rows
 from .errors import ConfigurationError, ContractError, NumericalError
 from .evaluation import predict
 from .mmd import ShiftReport, shift_gate
@@ -34,7 +34,6 @@ from .text import (
     Vocabulary,
     build_vocab,
     choose_k,
-    embed,
     encode,
     load_pretrained_vectors,
 )
@@ -73,6 +72,14 @@ class TrainConfig:
     pretrained_vectors: Optional[str] = None
 
     def __post_init__(self):
+        for name in ("lambda_", "mu", "d_star", "lr", "dropout"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("embedding_dim", "n_filters", "w_max"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.k is not None and self.k < 1:
+            raise ConfigurationError(f"k must be >= 1 when set, got {self.k}")
         if self.batch_size % 2 != 0 or self.batch_size < 2:
             raise ConfigurationError(
                 f"batch_size must be a positive even integer, got {self.batch_size}")
@@ -288,12 +295,12 @@ def train(source: EventCorpus, target: EventCorpus,
 
         for src_idx, tgt_idx in make_batches(len(source), len(target),
                                              config.batch_size, batch_rng):
-            x_s = embed(ids_s[src_idx], table)
-            x_t = embed(ids_t[tgt_idx], table)
-            feats_s = extract_features(x_s, params.theta_f, training=True,
-                                       rng=drop_rng, dropout_rate=config.dropout)
-            feats_t = extract_features(x_t, params.theta_f, training=True,
-                                       rng=drop_rng, dropout_rate=config.dropout)
+            # one extractor pass over the joint batch; the dropout draw over
+            # (2 * half) rows equals a source draw followed by a target draw
+            feats = extract_features(
+                np.concatenate([ids_s[src_idx], ids_t[tgt_idx]]), params.theta_f,
+                training=True, rng=drop_rng, dropout_rate=config.dropout)
+            feats_s, feats_t = split_rows(feats, len(src_idx))
 
             pe_s = pseudo_discriminate(feats_s, params.theta_pe)
             pe_t = pseudo_discriminate(feats_t, params.theta_pe)

@@ -13,7 +13,7 @@ from metadetector.model import (
     init_model,
     pseudo_discriminate,
 )
-from metadetector.text import EmbeddingTable, Vocabulary, embed
+from metadetector.text import EmbeddingTable, Vocabulary
 from metadetector.training import (
     loss_detection_weighted,
     loss_event_weighted,
@@ -72,9 +72,8 @@ def random_batch(params: ModelParams, b_s=3, b_t=3, seed=11):
 
 def forward_losses(params: ModelParams, ids_s, y_s, ids_t, lam, weights):
     """All three component losses on one batch, dropout off, fixed weights."""
-    table = params.theta_f.embedding
-    feats_s = extract_features(embed(ids_s, table), params.theta_f)
-    feats_t = extract_features(embed(ids_t, table), params.theta_f)
+    feats_s = extract_features(ids_s, params.theta_f)
+    feats_t = extract_features(ids_t, params.theta_f)
     l_pe = loss_pseudo(pseudo_discriminate(feats_s, params.theta_pe),
                        pseudo_discriminate(feats_t, params.theta_pe))
     l_yw = loss_detection_weighted(detect(feats_s, params.theta_y), y_s, weights)

@@ -46,7 +46,7 @@ from metadetector.model import (
     init_discriminator,
     pseudo_discriminate,
 )
-from metadetector.text import EmbeddingTable, build_vocab, embed
+from metadetector.text import EmbeddingTable, build_vocab
 from metadetector.training import (
     TrainConfig,
     compute_weights,
@@ -118,11 +118,10 @@ def test_criterion_02_grl_contract():
 def test_criterion_03_pseudo_head_isolation():
     params = build_tiny_model()
     ids_s, _, ids_t = random_batch(params)
-    table = params.theta_f.embedding
     before = {id(t): t.data.copy() for t in params.trainable_tensors()}
 
-    feats_s = extract_features(embed(ids_s, table), params.theta_f)
-    feats_t = extract_features(embed(ids_t, table), params.theta_f)
+    feats_s = extract_features(ids_s, params.theta_f)
+    feats_t = extract_features(ids_t, params.theta_f)
     l_pe = loss_event_weighted(pseudo_discriminate(feats_s, params.theta_pe),
                                pseudo_discriminate(feats_t, params.theta_pe),
                                np.ones(len(ids_s)))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from metadetector.autodiff import (
     relu,
     sigmoid,
     softmax_rows,
+    split_rows,
+    text_cnn,
 )
 from metadetector.errors import (
     ConfigurationError,
@@ -267,26 +271,154 @@ def test_concat_backward_splits():
     assert np.array_equal(b.grad, 2 * np.ones((2, 3)))
 
 
+def unfused_text_cnn(table, ids, filters, biases):
+    """The reference composite the fused op must reproduce."""
+    x = embedding_lookup(table, ids)
+    return concat([max_pool_full(conv_text(x, f, b))
+                   for f, b in zip(filters, biases)], axis=-1)
+
+
+def text_cnn_params(rng, vocab_size=12, d=3, n_c=2, w_max=3, trainable=True):
+    table = Tensor(rng.normal(size=(vocab_size, d)), requires_grad=trainable)
+    table.data[0] = 0.0
+    filters = [Tensor(rng.normal(size=(n_c, d, h)), requires_grad=True)
+               for h in range(1, w_max + 1)]
+    biases = [Tensor(rng.normal(size=n_c), requires_grad=True)
+              for _ in range(w_max)]
+    return table, filters, biases
+
+
+def output_and_grads(op, table, ids, filters, biases, g):
+    leaves = [table, *filters, *biases]
+    for t in leaves:
+        t.zero_grad()
+    out = op(table, ids, filters, biases)
+    backward((out * Tensor(g)).sum())
+    return [out.data] + [t.grad.copy() for t in leaves]
+
+
+class TestTextCnn:
+    @pytest.mark.parametrize("case", ["repeated-and-pad", "k-equals-w-max"])
+    def test_matches_unfused_composite(self, case):
+        rng = np.random.default_rng(21)
+        table, filters, biases = text_cnn_params(rng)
+        if case == "repeated-and-pad":
+            ids = np.array([[3, 3, 5, 3, 0, 0, 0],    # repeats, right padding
+                            [0, 7, 7, 7, 7, 2, 1],    # PAD inside, a run of 7s
+                            [11, 4, 9, 4, 11, 4, 9]])
+        else:
+            ids = rng.integers(0, 12, size=(4, 3))   # k == w_max: one window per bank
+        g = rng.normal(size=(len(ids), 3 * 2))
+        fused = output_and_grads(text_cnn, table, ids, filters, biases, g)
+        ref = output_and_grads(unfused_text_cnn, table, ids, filters, biases, g)
+        assert fused[0].shape == (len(ids), 6)
+        for a, b in zip(fused, ref):
+            assert np.abs(a - b).max() <= 1e-10
+        assert np.array_equal(fused[1][0], np.zeros(3))  # PAD row
+
+    def test_tie_goes_to_first_position(self):
+        # tokens 3 and 4 share an embedding, so every window of [3, 4, 4, 3]
+        # ties; integer values keep the tie exact under any summation order
+        table = Tensor(np.array([[0, 0], [1, 2], [2, 1], [1, 1], [1, 1]], float),
+                       requires_grad=True)
+        f1 = Tensor(np.array([[[1.0], [2.0]]]), requires_grad=True)
+        f2 = Tensor(np.array([[[1.0, 3.0], [2.0, 5.0]]]), requires_grad=True)
+        biases = [Tensor(np.zeros(1), requires_grad=True) for _ in range(2)]
+        ids = np.array([[3, 4, 4, 3]])
+        g = np.ones((1, 2))
+        fused = output_and_grads(text_cnn, table, ids, [f1, f2], biases, g)
+        ref = output_and_grads(unfused_text_cnn, table, ids, [f1, f2], biases, g)
+        assert all(np.array_equal(a, b) for a, b in zip(fused, ref))
+        # position 0 wins both banks: token 3 takes offset 0 of each, token 4
+        # offset 1 of the width-2 filter
+        assert fused[1][3].tolist() == [1.0 + 1.0, 2.0 + 2.0]
+        assert fused[1][4].tolist() == [3.0, 5.0]
+
+    def test_gradients_match_central_differences(self):
+        rng = np.random.default_rng(4)
+        table, filters, biases = text_cnn_params(rng, w_max=4)
+        ids = rng.integers(1, 12, size=(3, 6))
+        g = rng.normal(size=(3, 8))
+        backward((text_cnn(table, ids, filters, biases) * Tensor(g)).sum())
+
+        def f():
+            return (text_cnn(table, ids, filters, biases).data * g).sum()
+
+        for t in (table, *filters, *biases):
+            assert rel_error(t.grad, central_difference(f, t)) < 1e-6
+
+    def test_frozen_table_gets_no_gradient_array(self):
+        vocab_size, d = 50_000, 4
+        rng = np.random.default_rng(8)
+        table, filters, biases = text_cnn_params(rng, vocab_size=vocab_size, d=d,
+                                                 trainable=False)
+        out = text_cnn(table, rng.integers(0, vocab_size, size=(5, 6)),
+                       filters, biases)
+        tracemalloc.start()
+        try:
+            grads = out._backward(np.ones(out.shape))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grads[0] is None
+        assert peak < vocab_size * d * 8 // 10
+        assert [gr.shape for gr in grads[1:]] == \
+            [f.shape for f in filters] + [b.shape for b in biases]
+
+    def test_bad_inputs(self):
+        table, filters, biases = text_cnn_params(np.random.default_rng(0))
+        with pytest.raises(DimensionError):
+            text_cnn(table, np.array([1, 2, 3]), filters, biases)
+        with pytest.raises(VocabMismatchError):
+            text_cnn(table, np.array([[1, 2, 12]]), filters, biases)
+        with pytest.raises(ConfigurationError):
+            text_cnn(table, np.array([[1, 2]]), filters, biases)
+
+
+def test_split_rows_gradients():
+    x = Tensor(np.arange(10.0).reshape(5, 2), requires_grad=True)
+    head, tail = split_rows(x, 2)
+    assert np.array_equal(head.data, x.data[:2])
+    assert np.array_equal(tail.data, x.data[2:])
+    backward((head * 2.0).sum() + (tail * 3.0).sum())
+    assert x.grad.tolist() == [[2.0, 2.0]] * 2 + [[3.0, 3.0]] * 3
+    with pytest.raises(DimensionError):
+        split_rows(x, 6)
+
+
+def test_only_leaves_hold_grad_buffers():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    hidden = relu(x * 2.0)
+    out = hidden.sum()
+    assert hidden.grad is None and out.grad is None
+    assert np.array_equal(x.grad, np.zeros((2, 3)))
+    backward(out)
+    assert hidden.grad is None
+    assert np.array_equal(x.grad, np.full((2, 3), 2.0))
+
+
 class TestPrunedBackward:
     def test_frozen_table_skips_lookup_backward(self, monkeypatch):
         from helpers import analytic_model_grads, build_tiny_model, random_batch
-        from metadetector import text
+        from metadetector import model
 
-        calls = []
-        lookup = text.embedding_lookup
+        calls = []  # one per table gradient the extractor op computes
+        fused = model.text_cnn
 
-        def counted_lookup(table, ids):
-            out = lookup(table, ids)
+        def counted_text_cnn(table, ids, filters, biases):
+            out = fused(table, ids, filters, biases)
             bwd = out._backward
 
             def counted_bwd(g):
-                calls.append(1)
-                return bwd(g)
+                grads = bwd(g)
+                if grads[0] is not None:
+                    calls.append(1)
+                return grads
 
             out._backward = counted_bwd
             return out
 
-        monkeypatch.setattr(text, "embedding_lookup", counted_lookup)
+        monkeypatch.setattr(model, "text_cnn", counted_text_cnn)
 
         def grads(trainable_table):
             params = build_tiny_model()

@@ -165,8 +165,25 @@ def checkpoint(corpora, tmp_path_factory):
     return path
 
 
+# a pretrained-vector file named by a train config, and its bad line
+BAD_VECTORS = {"vectors-not-utf8": (b"1 2\n\xff\xfe 0.5 0.5\n", 2),
+               "vectors-short-line": (b"2 2\na 0.5 0.5\nb 0.5\n", 3),
+               "vectors-zero-dim": (b"1 0\na\n", 1)}
+
+
 def _write_bad_input(case, d, checkpoint):
-    """Write the bad file of ``case`` into ``d``; return (its path, command)."""
+    """Write the bad file of ``case`` into ``d``; return (its path, command).
+
+    A bad command-line argument writes no file; its "path" is then the name
+    the error must give.
+    """
+    if case == "mmd-embedding-dim-zero":
+        return "embedding_dim", "mmd-embedding-dim-zero"
+    if case.startswith("vectors-"):
+        path = d / "vec.txt"
+        path.write_bytes(BAD_VECTORS[case][0])
+        (d / "cfg.json").write_text(json.dumps({"pretrained_vectors": str(path)}))
+        return path, "config"
     if case.startswith("corpus-"):
         path = d / "bad.jsonl"
         if case == "corpus-missing":
@@ -185,7 +202,11 @@ def _write_bad_input(case, d, checkpoint):
             path.write_text({"config-invalid-json": "{not json",
                              "config-not-object": "[1, 2]",
                              "config-string-for-int": '{"epochs": "5"}',
-                             "config-bool-for-int": '{"epochs": true}'}[case])
+                             "config-bool-for-int": '{"epochs": true}',
+                             "config-embedding-dim-zero": '{"embedding_dim": 0}',
+                             "config-w-max-zero": '{"w_max": 0}',
+                             "config-lr-nan": '{"lr": NaN}',
+                             "config-lambda-infinite": '{"lambda_": Infinity}'}[case])
         return path, "config"
     path = d / "bad.npz"
     if case == "checkpoint-not-npz":
@@ -206,7 +227,10 @@ BAD_INPUTS = ["corpus-missing", "corpus-array-line", "corpus-text-not-string",
               "checkpoint-missing", "checkpoint-not-npz", "checkpoint-truncated",
               "checkpoint-no-meta", "checkpoint-missing-array",
               "config-missing", "config-invalid-json", "config-not-object",
-              "config-string-for-int", "config-bool-for-int"]
+              "config-string-for-int", "config-bool-for-int",
+              "config-embedding-dim-zero", "config-w-max-zero", "config-lr-nan",
+              "config-lambda-infinite", "mmd-embedding-dim-zero",
+              *BAD_VECTORS]
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
@@ -217,7 +241,10 @@ def test_bad_input_exits_2_without_traceback(case, capsys, corpora, checkpoint,
     argv = {"corpus": ["eval", "--checkpoint", checkpoint, "--corpus", str(bad)],
             "checkpoint": ["eval", "--checkpoint", str(bad), "--corpus", tgt],
             "config": ["train", "--source", src, "--target", tgt,
-                       "--config", str(bad), "--out", str(tmp_path / "m.npz")],
+                       "--config", str(tmp_path / "cfg.json"),
+                       "--out", str(tmp_path / "m.npz")],
+            "mmd-embedding-dim-zero": ["mmd", "--source", src, "--target", tgt,
+                                       "--embedding-dim", "0"],
             }[kind]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
@@ -225,6 +252,8 @@ def test_bad_input_exits_2_without_traceback(case, capsys, corpora, checkpoint,
     assert str(bad) in err
     if case.startswith("corpus-") and case != "corpus-missing":
         assert f"{bad}, line 2:" in err
+    if case in BAD_VECTORS:
+        assert f"{bad}, line {BAD_VECTORS[case][1]}:" in err
 
 
 def corrupt_lines():

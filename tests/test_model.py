@@ -14,7 +14,6 @@ from metadetector.model import (
     save_checkpoint,
     _discriminator_head,
 )
-from metadetector.text import embed
 from metadetector.training import loss_pseudo, sgd_step
 from helpers import build_tiny_model, random_batch
 
@@ -31,8 +30,7 @@ class TestExtractFeatures:
     def test_dimension_pipeline(self):
         params = build_tiny_model(n_filters=20, w_max=4, k=12)
         ids, _, _ = random_batch(params, b_s=5)
-        feats = extract_features(embed(ids, params.theta_f.embedding),
-                                 params.theta_f)
+        feats = extract_features(ids, params.theta_f)
         assert feats.shape == (5, 32)
         # pooled intermediate is w_max * n_c wide
         assert params.theta_f.w_fc.shape == (32, 80)
@@ -43,22 +41,20 @@ class TestExtractFeatures:
             if t is not params.theta_f.embedding.weights:
                 t.data[...] = 0.0
         ids, _, _ = random_batch(params)
-        feats = extract_features(embed(ids, params.theta_f.embedding),
-                                 params.theta_f)
+        feats = extract_features(ids, params.theta_f)
         assert np.array_equal(feats.data, np.zeros(feats.shape))
 
     def test_output_nonnegative(self):
         params = build_tiny_model(seed=3)
         ids, _, _ = random_batch(params, seed=5)
-        feats = extract_features(embed(ids, params.theta_f.embedding),
-                                 params.theta_f)
+        feats = extract_features(ids, params.theta_f)
         assert (feats.data >= 0).all()
 
     def test_short_sequence_rejected(self):
         params = build_tiny_model(w_max=3)
-        x = Tensor(np.zeros((2, 8, 2)))
+        ids = np.ones((2, 2), dtype=np.int64)  # k = 2 < w_max
         with pytest.raises(ConfigurationError):
-            extract_features(x, params.theta_f)
+            extract_features(ids, params.theta_f)
 
 
 class TestDetect:
@@ -127,10 +123,8 @@ class TestPseudoIsolation:
                   + params.theta_e.tensors())
         before = snapshot(others)
 
-        feats_s = extract_features(embed(ids_s, params.theta_f.embedding),
-                                   params.theta_f)
-        feats_t = extract_features(embed(ids_t, params.theta_f.embedding),
-                                   params.theta_f)
+        feats_s = extract_features(ids_s, params.theta_f)
+        feats_t = extract_features(ids_t, params.theta_f)
         l_pe = loss_pseudo(pseudo_discriminate(feats_s, params.theta_pe),
                            pseudo_discriminate(feats_t, params.theta_pe))
         backward(l_pe)

@@ -273,14 +273,12 @@ class TestTrain:
         # mu > 0, lambda = 0, detector masked: only theta_pe may move
         from metadetector.model import (detect, discriminate_event,
                                         extract_features, pseudo_discriminate)
-        from metadetector.text import embed
         from helpers import build_tiny_model, random_batch
 
         params = build_tiny_model()
         ids_s, y_s, ids_t = random_batch(params)
-        table = params.theta_f.embedding
-        feats_s = extract_features(embed(ids_s, table), params.theta_f)
-        feats_t = extract_features(embed(ids_t, table), params.theta_f)
+        feats_s = extract_features(ids_s, params.theta_f)
+        feats_t = extract_features(ids_t, params.theta_f)
         l_pe = loss_pseudo(pseudo_discriminate(feats_s, params.theta_pe),
                            pseudo_discriminate(feats_t, params.theta_pe))
         l_ew = loss_event_weighted(
