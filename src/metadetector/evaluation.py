@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ConfigurationError, ContractError
 from .model import ModelParams, detect, extract_features, pseudo_discriminate
 from .text import EventCorpus, encode
 
@@ -132,7 +132,13 @@ class WeightRanking:
 
 def export_weights(params: ModelParams, source: EventCorpus,
                    top_n: int = 10) -> WeightRanking:
-    """Rank source posts by w = 1 - w_hat, ties broken by post id."""
+    """Rank source posts by w = 1 - w_hat, ties broken by post id.
+
+    ``top`` and ``bottom`` hold the ``top_n`` highest and lowest (both
+    empty for 0); a negative ``top_n`` raises ConfigurationError.
+    """
+    if top_n < 0:
+        raise ConfigurationError(f"top_n must be >= 0, got {top_n}")
     probs = []
     for feats in _forward_chunks(params, source):
         probs.append(pseudo_discriminate(feats, params.theta_pe).data)
@@ -149,5 +155,6 @@ def export_weights(params: ModelParams, source: EventCorpus,
         "max": float(weights.max()),
         "deciles": [float(np.quantile(weights, q / 10)) for q in range(11)],
     }
-    return WeightRanking(top=entries[:top_n], bottom=entries[-top_n:],
+    return WeightRanking(top=entries[:top_n],
+                         bottom=entries[max(0, len(entries) - top_n):],
                          summary=summary, entries=entries)

@@ -236,10 +236,56 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
     np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
 
 
+def _array_shapes(n_vocab: int, d: int, w_max: int, n_filters: int):
+    """(name, shape) of each array :func:`_array_map` saves, filter banks first."""
+    for i in range(w_max):
+        yield f"f_filter_{i}", (n_filters, d, i + 1)
+        yield f"f_bias_{i}", (n_filters,)
+    yield "f_w_fc", (FEATURE_DIM, w_max * n_filters)
+    yield "f_b_fc", (FEATURE_DIM,)
+    yield "embedding", (n_vocab, d)
+    yield "y_w", (2, FEATURE_DIM)
+    yield "y_b", (2,)
+    for name in ("e", "pe"):
+        yield f"{name}_w1", (DISC_HIDDEN, FEATURE_DIM)
+        yield f"{name}_b1", (DISC_HIDDEN,)
+        yield f"{name}_w2", (1, DISC_HIDDEN)
+        yield f"{name}_b2", (1,)
+
+
+# metadata field -> its JSON type; exact, since bool is an int subclass
+_META_TYPES = {"seed": int, "k": int, "w_max": int, "n_filters": int,
+               "embedding_trainable": bool, "vocab_tokens": list,
+               "vocab_min_count": int, "vocab_hash": str, "config": dict}
+
+
+def _check_meta(meta) -> None:
+    if not isinstance(meta, dict):
+        raise CheckpointError("metadata is not a JSON object")
+    version = meta.get("version")
+    if type(version) is not int or version != _CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version!r}")
+    for name, kind in _META_TYPES.items():
+        if type(meta[name]) is not kind:
+            raise CheckpointError(f"metadata {name!r} must be a JSON {kind.__name__}, "
+                                  f"got {meta[name]!r}")
+    for name, low in (("seed", 0), ("k", 1), ("w_max", 1), ("n_filters", 1),
+                      ("vocab_min_count", 1)):
+        if meta[name] < low:
+            raise CheckpointError(f"metadata {name!r} out of range: {meta[name]}")
+    if meta["k"] < meta["w_max"]:
+        raise CheckpointError(f"k = {meta['k']} is below w_max = {meta['w_max']}")
+    if not all(isinstance(t, str) for t in meta["vocab_tokens"]):
+        raise CheckpointError("metadata 'vocab_tokens' must be a list of strings")
+
+
 def load_checkpoint(path: str) -> ModelParams:
-    """Read a checkpoint; a file that is not a complete one raises CheckpointError."""
+    """Read a checkpoint; a file that is not a complete, well-formed one
+    raises CheckpointError naming ``path``."""
     try:
         return _read_checkpoint(path)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     except KeyError as exc:  # a missing array or metadata field
         raise CheckpointError(f"{path}: incomplete checkpoint ({exc.args[0]})") from None
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
@@ -249,55 +295,52 @@ def load_checkpoint(path: str) -> ModelParams:
 def _read_checkpoint(path: str) -> ModelParams:
     npz = np.load(path, allow_pickle=False)
     if not isinstance(npz, np.lib.npyio.NpzFile):
-        raise CheckpointError(f"{path}: a single .npy array, not an npz checkpoint")
+        raise CheckpointError("a single .npy array, not an npz checkpoint")
     with npz:
         meta = json.loads(str(npz["__meta__"]))
-        if not isinstance(meta, dict):
-            raise CheckpointError(f"{path}: metadata is not a JSON object")
-        if meta.get("version") != _CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {meta.get('version')!r}")
+        _check_meta(meta)
         vocab = Vocabulary(
             token_to_id={t: i for i, t in enumerate(meta["vocab_tokens"])},
             min_count=meta["vocab_min_count"],
         )
+        if len(vocab) != len(meta["vocab_tokens"]):
+            raise CheckpointError("vocabulary has repeated tokens")
         if vocab_hash(vocab) != meta["vocab_hash"]:
             raise CheckpointError("vocabulary hash mismatch; checkpoint is corrupt")
         emb = npz["embedding"]
-        if emb.shape[0] != len(vocab):
-            raise CheckpointError(
-                f"embedding rows {emb.shape[0]} != vocabulary size {len(vocab)}")
-        table = EmbeddingTable(Tensor(emb, requires_grad=meta["embedding_trainable"]),
-                               trainable=meta["embedding_trainable"])
-        w_max, n_filters, d = meta["w_max"], meta["n_filters"], emb.shape[1]
-        filters, biases = [], []
-        for i in range(w_max):
-            f = npz[f"f_filter_{i}"]
-            if f.shape != (n_filters, d, i + 1):
+        if emb.ndim != 2 or emb.shape[1] < 1:
+            raise CheckpointError(f"embedding has shape {emb.shape}, expected (|V|, d >= 1)")
+        # every array is checked before the model is built, so no size
+        # read from the metadata is allocated unless the arrays agree
+        arrays = {}
+        for name, shape in _array_shapes(len(vocab), emb.shape[1],
+                                         meta["w_max"], meta["n_filters"]):
+            a = emb if name == "embedding" else npz[name]
+            if a.dtype.kind != "f" or a.shape != shape:
                 raise CheckpointError(
-                    f"filter bank {i} has shape {f.shape}, expected {(n_filters, d, i + 1)}")
-            filters.append(Tensor(f, requires_grad=True))
-            biases.append(Tensor(npz[f"f_bias_{i}"], requires_grad=True))
-        w_fc = npz["f_w_fc"]
-        if w_fc.shape[1] != w_max * n_filters:
-            raise CheckpointError(
-                f"mixing layer expects {w_max * n_filters} inputs, found {w_fc.shape[1]}")
-        theta_f = FeatureExtractorParams(
-            filters=filters, conv_biases=biases,
-            w_fc=Tensor(w_fc, requires_grad=True),
-            b_fc=Tensor(npz["f_b_fc"], requires_grad=True),
-            embedding=table,
-        )
-        theta_y = DetectorParams(w=Tensor(npz["y_w"], requires_grad=True),
-                                 b=Tensor(npz["y_b"], requires_grad=True))
-        discs = {}
-        for name in ("e", "pe"):
-            discs[name] = DiscriminatorParams(
-                w1=Tensor(npz[f"{name}_w1"], requires_grad=True),
-                b1=Tensor(npz[f"{name}_b1"], requires_grad=True),
-                w2=Tensor(npz[f"{name}_w2"], requires_grad=True),
-                b2=Tensor(npz[f"{name}_b2"], requires_grad=True),
-            )
-        return ModelParams(theta_f=theta_f, theta_y=theta_y,
-                           theta_e=discs["e"], theta_pe=discs["pe"],
-                           vocab=vocab, k=meta["k"], seed=meta["seed"],
-                           config_snapshot=meta["config"])
+                    f"array {name!r} is {a.dtype} of shape {a.shape}, "
+                    f"expected float of shape {shape}")
+            if not np.isfinite(a).all():
+                raise CheckpointError(f"array {name!r} holds non-finite values")
+            arrays[name] = a
+    # built from the arrays, not through init_model: scoring then never
+    # creates a random generator, whose import costs about 2 MB of RSS
+    def leaf(name: str) -> Tensor:
+        return Tensor(arrays[name], requires_grad=True)
+
+    w_max = meta["w_max"]
+    theta_f = FeatureExtractorParams(
+        filters=[leaf(f"f_filter_{i}") for i in range(w_max)],
+        conv_biases=[leaf(f"f_bias_{i}") for i in range(w_max)],
+        w_fc=leaf("f_w_fc"), b_fc=leaf("f_b_fc"),
+        embedding=EmbeddingTable(Tensor(arrays["embedding"]),
+                                 trainable=meta["embedding_trainable"]),
+    )
+    discs = {name: DiscriminatorParams(*(leaf(f"{name}_{p}")
+                                         for p in ("w1", "b1", "w2", "b2")))
+             for name in ("e", "pe")}
+    return ModelParams(theta_f=theta_f,
+                       theta_y=DetectorParams(w=leaf("y_w"), b=leaf("y_b")),
+                       theta_e=discs["e"], theta_pe=discs["pe"],
+                       vocab=vocab, k=meta["k"], seed=meta["seed"],
+                       config_snapshot=meta["config"])

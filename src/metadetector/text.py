@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -29,6 +30,12 @@ _CJK_RANGES = (
     (0x3400, 0x4DBF),   # extension A
     (0xF900, 0xFAFF),   # compatibility ideographs
 )
+
+# The ASCII characters of Unicode category P*: 23 of them. Not
+# ``string.punctuation``, whose ``$+<=>^`|~`` are symbols (S*) and are kept.
+_ASCII_PUNCT = "".join(ch for ch in map(chr, range(128))
+                       if unicodedata.category(ch).startswith("P"))
+_find_ascii_punct = re.compile(f"[{re.escape(_ASCII_PUNCT)}]").search
 
 
 @dataclass
@@ -71,9 +78,18 @@ def _is_cjk(ch: str) -> bool:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase, split on whitespace, strip edge punctuation, CJK to chars."""
+    """Lowercase, split on whitespace, strip edge punctuation, CJK to chars.
+
+    Punctuation is Unicode category P*. An ASCII text is split and stripped
+    by ``str`` methods alone; other texts go character by character.
+    """
+    words = text.lower().split()
+    if text.isascii():  # fast path: no CJK, and P* is _ASCII_PUNCT
+        if _find_ascii_punct(text) is None:
+            return words
+        return [w for w in (raw.strip(_ASCII_PUNCT) for raw in words) if w]
     tokens: list[str] = []
-    for raw in text.lower().split():
+    for raw in words:
         start, end = 0, len(raw)
         while start < end and unicodedata.category(raw[start]).startswith("P"):
             start += 1

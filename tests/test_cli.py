@@ -165,10 +165,33 @@ def checkpoint(corpora, tmp_path_factory):
     return path
 
 
+def test_weights_top_n_zero_is_empty(capsys, corpora, checkpoint):
+    src, _ = corpora
+    code, out, _ = run_cli(capsys, "weights", "--checkpoint", checkpoint,
+                           "--corpus", src, "--top-n", "0")
+    assert code == 0
+    ranking = json.loads(out)
+    assert ranking["top"] == [] and ranking["bottom"] == []
+    assert ranking["summary"]["n"] == 80
+
+
 # a pretrained-vector file named by a train config, and its bad line
 BAD_VECTORS = {"vectors-not-utf8": (b"1 2\n\xff\xfe 0.5 0.5\n", 2),
                "vectors-short-line": (b"2 2\na 0.5 0.5\nb 0.5\n", 3),
                "vectors-zero-dim": (b"1 0\na\n", 1)}
+
+
+# a saved checkpoint's arrays and metadata, and one change that spoils them
+CHECKPOINT_TAMPERS = {
+    "checkpoint-no-meta": lambda arrays, meta: arrays.pop("__meta__"),
+    "checkpoint-missing-array": lambda arrays, meta: arrays.pop("f_w_fc"),
+    "checkpoint-1d-embedding": lambda arrays, meta: arrays.update(
+        embedding=arrays["embedding"].ravel()),
+    "checkpoint-string-array": lambda arrays, meta: arrays.update(
+        f_w_fc=arrays["f_w_fc"].astype(str)),
+    "checkpoint-k-string": lambda arrays, meta: meta.update(k=str(meta["k"])),
+    "checkpoint-vocab-int": lambda arrays, meta: meta.update(vocab_tokens=5),
+}
 
 
 def _write_bad_input(case, d, checkpoint):
@@ -179,6 +202,8 @@ def _write_bad_input(case, d, checkpoint):
     """
     if case == "mmd-embedding-dim-zero":
         return "embedding_dim", "mmd-embedding-dim-zero"
+    if case == "weights-top-n-negative":
+        return "top_n", "weights-top-n-negative"
     if case.startswith("vectors-"):
         path = d / "vec.txt"
         path.write_bytes(BAD_VECTORS[case][0])
@@ -214,10 +239,13 @@ def _write_bad_input(case, d, checkpoint):
     elif case == "checkpoint-truncated":
         data = open(checkpoint, "rb").read()
         path.write_bytes(data[:len(data) // 2])
-    elif case in ("checkpoint-no-meta", "checkpoint-missing-array"):
+    elif case in CHECKPOINT_TAMPERS:
         with np.load(checkpoint) as npz:
             arrays = {k: npz[k] for k in npz.files}
-        del arrays["__meta__" if case == "checkpoint-no-meta" else "f_w_fc"]
+        meta = json.loads(str(arrays["__meta__"]))
+        CHECKPOINT_TAMPERS[case](arrays, meta)
+        if "__meta__" in arrays:
+            arrays["__meta__"] = np.array(json.dumps(meta))
         np.savez(path, **arrays)
     return path, "checkpoint"
 
@@ -225,12 +253,12 @@ def _write_bad_input(case, d, checkpoint):
 BAD_INPUTS = ["corpus-missing", "corpus-array-line", "corpus-text-not-string",
               "corpus-label-bool", "corpus-mixed-events",
               "checkpoint-missing", "checkpoint-not-npz", "checkpoint-truncated",
-              "checkpoint-no-meta", "checkpoint-missing-array",
+              *CHECKPOINT_TAMPERS,
               "config-missing", "config-invalid-json", "config-not-object",
               "config-string-for-int", "config-bool-for-int",
               "config-embedding-dim-zero", "config-w-max-zero", "config-lr-nan",
               "config-lambda-infinite", "mmd-embedding-dim-zero",
-              *BAD_VECTORS]
+              "weights-top-n-negative", *BAD_VECTORS]
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
@@ -245,6 +273,8 @@ def test_bad_input_exits_2_without_traceback(case, capsys, corpora, checkpoint,
                        "--out", str(tmp_path / "m.npz")],
             "mmd-embedding-dim-zero": ["mmd", "--source", src, "--target", tgt,
                                        "--embedding-dim", "0"],
+            "weights-top-n-negative": ["weights", "--checkpoint", checkpoint,
+                                       "--corpus", src, "--top-n", "-2"],
             }[kind]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2

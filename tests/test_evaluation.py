@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metadetector.data_synth import SynthSpec, generate
-from metadetector.errors import ContractError
+from metadetector.errors import ConfigurationError, ContractError
 from metadetector.evaluation import (
     evaluate,
     export_weights,
@@ -136,3 +136,16 @@ class TestExportWeights:
         assert summary["n"] == len(source)
         assert summary["min"] <= summary["mean"] <= summary["max"]
         assert len(summary["deciles"]) == 11
+
+    @pytest.mark.parametrize("top_n", [0, 3, 1000])
+    def test_top_and_bottom_sizes(self, trained, top_n):
+        params, source, _ = trained
+        ranking = export_weights(params, source, top_n=top_n)
+        n = min(top_n, len(source))
+        assert ranking.top == ranking.entries[:n]
+        assert ranking.bottom == ranking.entries[len(source) - n:]
+
+    def test_negative_top_n_rejected(self, trained):
+        params, source, _ = trained
+        with pytest.raises(ConfigurationError, match="top_n"):
+            export_weights(params, source, top_n=-2)

@@ -1,5 +1,10 @@
+import json
+import re
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from metadetector.autodiff import Tensor, backward
 from metadetector.errors import CheckpointError, ConfigurationError
@@ -12,6 +17,8 @@ from metadetector.model import (
     load_checkpoint,
     pseudo_discriminate,
     save_checkpoint,
+    _array_map,
+    _array_shapes,
     _discriminator_head,
 )
 from metadetector.training import loss_pseudo, sgd_step
@@ -194,3 +201,103 @@ class TestCheckpoint:
         np.savez(path, **arrays)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    """A tiny model's checkpoint (k = 12, w_max = 3, 4 filters), as saved."""
+    path = str(tmp_path_factory.mktemp("ckpt") / "model.npz")
+    save_checkpoint(build_tiny_model(), path)
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    return arrays, json.loads(str(arrays.pop("__meta__")))
+
+
+def json_values():
+    return st.one_of(st.none(), st.booleans(), st.integers(),
+                     st.floats(allow_nan=False, allow_infinity=False),
+                     st.text(max_size=3), st.lists(st.integers(), max_size=2),
+                     st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+
+def bad_meta_values(meta):
+    """For each metadata field of ``meta``, values that spoil the checkpoint."""
+    def not_(kind):
+        return json_values().filter(lambda v: type(v) is not kind)
+    return {
+        "version": json_values().filter(lambda v: type(v) is not int or v != 1),
+        "seed": st.one_of(not_(int), st.integers(max_value=-1)),
+        "k": st.one_of(not_(int), st.integers(max_value=0),
+                       st.integers(1, meta["w_max"] - 1)),
+        "w_max": st.one_of(not_(int), st.integers().filter(lambda v: v != meta["w_max"])),
+        "n_filters": st.one_of(not_(int),
+                               st.integers().filter(lambda v: v != meta["n_filters"])),
+        "embedding_trainable": not_(bool),
+        "vocab_tokens": st.one_of(
+            not_(list),
+            st.lists(json_values(), min_size=1).filter(
+                lambda v: v != meta["vocab_tokens"])),
+        "vocab_min_count": st.one_of(not_(int), st.integers(max_value=0)),
+        "vocab_hash": json_values().filter(lambda v: v != meta["vocab_hash"]),
+        "config": not_(dict),
+    }
+
+
+ARRAY_TAMPERS = {
+    "int": lambda a: a.astype(np.int64),
+    "bool": lambda a: a.astype(bool),
+    "str": lambda a: a.astype(str),
+    "complex": lambda a: a.astype(complex),
+    "extra axis": lambda a: a[..., None],
+    "first row dropped": lambda a: a[1:],
+    "flattened": lambda a: a.ravel() if a.ndim > 1 else a[None],
+    "nan": lambda a: np.where(np.arange(a.size).reshape(a.shape) == 0, np.nan, a),
+    "inf": lambda a: np.full(a.shape, -np.inf),
+}
+
+
+@st.composite
+def tampered_checkpoints(draw, saved):
+    """A saved checkpoint with one metadata field or one array spoilt."""
+    arrays, meta = dict(saved[0]), dict(saved[1])
+    if draw(st.booleans()):
+        field = draw(st.sampled_from(sorted(meta)))
+        if draw(st.integers(0, 9)) == 0:
+            del meta[field]
+        else:
+            meta[field] = draw(bad_meta_values(saved[1])[field])
+    else:
+        name = draw(st.sampled_from(sorted(arrays)))
+        if draw(st.integers(0, 9)) == 0:
+            del arrays[name]
+        else:
+            arrays[name] = ARRAY_TAMPERS[draw(st.sampled_from(sorted(ARRAY_TAMPERS)))](
+                arrays[name])
+    return arrays, meta
+
+
+def test_array_shapes_match_saved_arrays():
+    """The shapes a checkpoint is checked against are those a model saves."""
+    params = build_tiny_model(vocab_size=50, dim=8, n_filters=4, w_max=3)
+    saved = {name: a.shape for name, a in _array_map(params).items()}
+    assert dict(_array_shapes(50, 8, 3, 4)) == saved
+
+
+def test_k_below_w_max_rejected(saved_checkpoint, tmp_path):
+    arrays, meta = saved_checkpoint
+    path = str(tmp_path / "model.npz")
+    np.savez(path, __meta__=np.array(json.dumps({**meta, "k": meta["w_max"] - 1})),
+             **arrays)
+    with pytest.raises(CheckpointError, match="below w_max"):
+        load_checkpoint(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_tampered_checkpoint_raises_checkpoint_error(data, saved_checkpoint,
+                                                      tmp_path_factory):
+    arrays, meta = data.draw(tampered_checkpoints(saved_checkpoint))
+    path = str(tmp_path_factory.mktemp("tampered") / "model.npz")
+    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+    with pytest.raises(CheckpointError, match=re.escape(path)):
+        load_checkpoint(path)

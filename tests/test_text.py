@@ -1,5 +1,10 @@
+import string
+import unicodedata
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from metadetector.autodiff import backward
 from metadetector.errors import ContractError, ParseError
@@ -41,6 +46,66 @@ class TestTokenize:
 
     def test_inner_punctuation_kept(self):
         assert tokenize("it's (done).") == ["it's", "done"]
+
+    def test_only_punctuation(self):
+        assert tokenize("!!! ... (?) -- \"'") == []
+
+    def test_edge_symbols_kept(self):
+        # $ + | are Unicode symbols (S*), not punctuation
+        assert tokenize("$5 +1 a| |b.") == ["$5", "+1", "a|", "|b"]
+
+
+def per_char_tokenize(text):
+    """The per-character tokenizer, kept as the reference for ``tokenize``."""
+    tokens = []
+    for raw in text.lower().split():
+        start, end = 0, len(raw)
+        while start < end and unicodedata.category(raw[start]).startswith("P"):
+            start += 1
+        while end > start and unicodedata.category(raw[end - 1]).startswith("P"):
+            end -= 1
+        word = raw[start:end]
+        if not word:
+            continue
+        if word.isascii():
+            tokens.append(word)
+            continue
+        buf = ""
+        for ch in word:
+            if 0x4E00 <= ord(ch) <= 0x9FFF or 0x3400 <= ord(ch) <= 0x4DBF \
+                    or 0xF900 <= ord(ch) <= 0xFAFF:
+                if buf:
+                    tokens.append(buf)
+                    buf = ""
+                tokens.append(ch)
+            else:
+                buf += ch
+        if buf:
+            tokens.append(buf)
+    return tokens
+
+
+ASCII_WORD = string.ascii_letters + string.digits
+ASCII_MARKS = "".join(ch for ch in map(chr, range(33, 127))
+                      if not ch.isalnum())  # punctuation and symbols
+WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\u3000"
+# CJK (with the first and last code point of each range, and neighbours),
+# fullwidth punctuation, casing specials, combining marks
+OTHER = ("疫情谣言\u4e00\u9fff\u3400\u4dbf\uf900\ufaff\u33ff\ufb00"
+         "，。«»—’İßǅ\u0301\u0308")
+
+
+@pytest.mark.parametrize("text", ["«Hello», 疫情。", "İstanbul ǅemal", "ß—ok’ a.b"])
+def test_tokenize_matches_per_char_reference(text):
+    assert tokenize(text) == per_char_tokenize(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.one_of(
+    st.text(alphabet=ASCII_WORD + ASCII_MARKS + " \t\n\x1c\x1f"),
+    st.text(alphabet=ASCII_WORD + ASCII_MARKS + WHITESPACE + OTHER)))
+def test_tokenize_matches_per_char_property(text):
+    assert tokenize(text) == per_char_tokenize(text)
 
 
 class TestBuildVocab:
