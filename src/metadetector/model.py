@@ -202,21 +202,15 @@ def vocab_hash(vocab: Vocabulary) -> str:
 
 
 def _array_map(params: ModelParams) -> dict[str, np.ndarray]:
-    arrays: dict[str, np.ndarray] = {}
-    for i, (f, b) in enumerate(zip(params.theta_f.filters, params.theta_f.conv_biases)):
-        arrays[f"f_filter_{i}"] = f.data
-        arrays[f"f_bias_{i}"] = b.data
-    arrays["f_w_fc"] = params.theta_f.w_fc.data
-    arrays["f_b_fc"] = params.theta_f.b_fc.data
-    arrays["embedding"] = params.theta_f.embedding.weights.data
-    arrays["y_w"] = params.theta_y.w.data
-    arrays["y_b"] = params.theta_y.b.data
-    for name, disc in (("e", params.theta_e), ("pe", params.theta_pe)):
-        arrays[f"{name}_w1"] = disc.w1.data
-        arrays[f"{name}_b1"] = disc.b1.data
-        arrays[f"{name}_w2"] = disc.w2.data
-        arrays[f"{name}_b2"] = disc.b2.data
-    return arrays
+    """Each array of ``params`` under its :func:`_array_shapes` name."""
+    f = params.theta_f
+    tensors = [t for pair in zip(f.filters, f.conv_biases) for t in pair]
+    tensors += [f.w_fc, f.b_fc, f.embedding.weights, params.theta_y.w, params.theta_y.b]
+    for disc in (params.theta_e, params.theta_pe):
+        tensors += [disc.w1, disc.b1, disc.w2, disc.b2]
+    names = [name for name, _ in _array_shapes(f.embedding.vocab_size, f.embedding.dim,
+                                               f.w_max, f.n_filters)]
+    return {name: t.data for name, t in zip(names, tensors, strict=True)}
 
 
 def save_checkpoint(params: ModelParams, path: str) -> None:
@@ -237,7 +231,11 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
 
 
 def _array_shapes(n_vocab: int, d: int, w_max: int, n_filters: int):
-    """(name, shape) of each array :func:`_array_map` saves, filter banks first."""
+    """(name, shape) of each array a checkpoint holds, filter banks first.
+
+    The one record of the layout: :func:`_array_map` saves under these names
+    and :func:`load_checkpoint` checks and reads them.
+    """
     for i in range(w_max):
         yield f"f_filter_{i}", (n_filters, d, i + 1)
         yield f"f_bias_{i}", (n_filters,)

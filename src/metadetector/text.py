@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -35,7 +34,6 @@ _CJK_RANGES = (
 # ``string.punctuation``, whose ``$+<=>^`|~`` are symbols (S*) and are kept.
 _ASCII_PUNCT = "".join(ch for ch in map(chr, range(128))
                        if unicodedata.category(ch).startswith("P"))
-_find_ascii_punct = re.compile(f"[{re.escape(_ASCII_PUNCT)}]").search
 
 
 @dataclass
@@ -85,8 +83,6 @@ def tokenize(text: str) -> list[str]:
     """
     words = text.lower().split()
     if text.isascii():  # fast path: no CJK, and P* is _ASCII_PUNCT
-        if _find_ascii_punct(text) is None:
-            return words
         return [w for w in (raw.strip(_ASCII_PUNCT) for raw in words) if w]
     tokens: list[str] = []
     for raw in words:
