@@ -21,10 +21,6 @@ from .text import load_corpus, save_corpus
 from .training import TrainConfig, history_to_csv, prepare, train
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="metadetector",
@@ -32,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic two-event corpus pair")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-source", required=True)
     p.add_argument("--out-target", required=True)
     p.add_argument("--n-source", type=int, default=2000)
@@ -46,14 +42,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anomaly-fraction", type=float, default=0.0)
 
     p = sub.add_parser("mmd", help="shift report between two corpora")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--d-star", type=float, default=0.8)
     p.add_argument("--embedding-dim", type=int, default=32)
 
     p = sub.add_parser("train", help="train on a source/target corpus pair")
-    _add_common(p)
+    p.add_argument("--seed", type=int, help="overrides the config's seed (default 0)")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--config", help="JSON file mirroring TrainConfig fields")
@@ -68,14 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int)
 
     p = sub.add_parser("eval", help="metrics of a checkpoint on a labeled corpus")
-    _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", help="write the JSON report here as well")
     p.add_argument("--csv")
 
     p = sub.add_parser("weights", help="rank source posts by learned weight")
-    _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--top-n", type=int, default=10)

@@ -12,6 +12,8 @@ from .model import ModelParams, detect, extract_features, pseudo_discriminate
 from .text import EventCorpus, encode
 
 CLASS_NAMES = {0: "fake", 1: "real"}
+# rows per extractor pass at inference
+FORWARD_CHUNK = 500
 
 
 @dataclass
@@ -80,14 +82,15 @@ def metrics_from_predictions(predictions: np.ndarray,
     return MetricsReport(accuracy=accuracy, n_evaluated=n, per_class=per_class)
 
 
-def forward(params: ModelParams, ids: np.ndarray, chunk: int = 500):
-    """Extractor features of an (n, k) id matrix, ``chunk`` rows at a time, dropout off."""
-    for start in range(0, len(ids), chunk):
-        yield extract_features(ids[start:start + chunk], params.theta_f, training=False)
+def forward(params: ModelParams, ids: np.ndarray):
+    """Extractor features of an (n, k) id matrix, FORWARD_CHUNK rows at a time, dropout off."""
+    for start in range(0, len(ids), FORWARD_CHUNK):
+        yield extract_features(ids[start:start + FORWARD_CHUNK], params.theta_f,
+                               training=False)
 
 
-def _forward_chunks(params: ModelParams, corpus: EventCorpus, chunk: int = 500):
-    yield from forward(params, encode(corpus, params.vocab, params.k), chunk)
+def _forward_chunks(params: ModelParams, corpus: EventCorpus):
+    yield from forward(params, encode(corpus, params.vocab, params.k))
 
 
 def predict(params: ModelParams, ids: np.ndarray) -> np.ndarray:

@@ -66,20 +66,19 @@ def _pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.maximum(d, 0.0, out=d)
 
 
-def _median_bank(median: float, n_kernels: int = N_KERNELS) -> KernelBank:
-    """The median heuristic: sigma^2 in {median * 2^(j - n//2)}."""
+def _median_bank(median: float) -> KernelBank:
+    """The median heuristic: sigma^2 in {median * 2^(j - n//2)}, n = N_KERNELS."""
     return KernelBank(
-        sq_bandwidths=median * 2.0 ** (np.arange(n_kernels) - n_kernels // 2))
+        sq_bandwidths=median * 2.0 ** (np.arange(N_KERNELS) - N_KERNELS // 2))
 
 
-def median_bandwidths(pairwise_sq_dists: np.ndarray,
-                      n_kernels: int = N_KERNELS) -> KernelBank:
+def median_bandwidths(pairwise_sq_dists: np.ndarray) -> KernelBank:
     """Median heuristic bank over the positive entries of ``pairwise_sq_dists``."""
     d = np.asarray(pairwise_sq_dists, dtype=np.float64).ravel()
     positive = d[d > 0]
     if positive.size == 0:
         raise DegenerateDataError("all pairwise distances are zero")
-    return _median_bank(float(np.median(positive)), n_kernels)
+    return _median_bank(float(np.median(positive)))
 
 
 def _mean_kernel(sq_dists: np.ndarray, bank: KernelBank) -> np.ndarray:

@@ -24,15 +24,18 @@ from .autodiff import (
     text_cnn,
 )
 from .errors import CheckpointError
-from .text import EmbeddingTable, Vocabulary
+from .text import MAX_K, EmbeddingTable, Vocabulary
 
 FEATURE_DIM = 32
 DISC_HIDDEN = 32
 
 
-def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...],
-                   fan_in: int, fan_out: int) -> Tensor:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
+def _init_array(rng: np.random.Generator, shape: tuple[int, ...]) -> Tensor:
+    """A 1-D array is a zero bias; any other is Glorot-uniform with fan-out
+    ``shape[0]`` and fan-in ``prod(shape[1:])``."""
+    if len(shape) == 1:
+        return Tensor(np.zeros(shape), requires_grad=True)
+    limit = math.sqrt(6.0 / (math.prod(shape[1:]) + shape[0]))
     return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
 
 
@@ -96,57 +99,28 @@ class ModelParams:
                 + self.theta_e.tensors() + self.theta_pe.tensors())
 
 
-def init_feature_extractor(table: EmbeddingTable, n_filters: int, w_max: int,
-                           rng: np.random.Generator,
-                           feature_dim: int = FEATURE_DIM) -> FeatureExtractorParams:
-    d = table.dim
-    filters, biases = [], []
-    for h in range(1, w_max + 1):
-        filters.append(glorot_uniform(rng, (n_filters, d, h),
-                                      fan_in=d * h, fan_out=n_filters))
-        biases.append(Tensor(np.zeros(n_filters), requires_grad=True))
-    pooled = w_max * n_filters
-    return FeatureExtractorParams(
-        filters=filters,
-        conv_biases=biases,
-        w_fc=glorot_uniform(rng, (feature_dim, pooled), fan_in=pooled, fan_out=feature_dim),
-        b_fc=Tensor(np.zeros(feature_dim), requires_grad=True),
-        embedding=table,
-    )
-
-
-def init_detector(rng: np.random.Generator,
-                  feature_dim: int = FEATURE_DIM) -> DetectorParams:
-    return DetectorParams(
-        w=glorot_uniform(rng, (2, feature_dim), fan_in=feature_dim, fan_out=2),
-        b=Tensor(np.zeros(2), requires_grad=True),
-    )
+def _disc_shapes(in_dim: int, hidden: int):
+    """(part, shape) of a discriminator's arrays, in field order."""
+    return (("w1", (hidden, in_dim)), ("b1", (hidden,)),
+            ("w2", (1, hidden)), ("b2", (1,)))
 
 
 def init_discriminator(rng: np.random.Generator, in_dim: int = FEATURE_DIM,
                        hidden: int = DISC_HIDDEN) -> DiscriminatorParams:
-    return DiscriminatorParams(
-        w1=glorot_uniform(rng, (hidden, in_dim), fan_in=in_dim, fan_out=hidden),
-        b1=Tensor(np.zeros(hidden), requires_grad=True),
-        w2=glorot_uniform(rng, (1, hidden), fan_in=hidden, fan_out=1),
-        b2=Tensor(np.zeros(1), requires_grad=True),
-    )
+    return DiscriminatorParams(*(_init_array(rng, shape)
+                                 for _, shape in _disc_shapes(in_dim, hidden)))
 
 
 def init_model(vocab: Vocabulary, table: EmbeddingTable, k: int, seed: int,
                n_filters: int = 20, w_max: int = 4,
                config_snapshot: Optional[dict] = None) -> ModelParams:
+    """A fresh model around ``table``; arrays are drawn in layout order."""
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    return ModelParams(
-        theta_f=init_feature_extractor(table, n_filters, w_max, rng),
-        theta_y=init_detector(rng),
-        theta_e=init_discriminator(rng),
-        theta_pe=init_discriminator(rng),
-        vocab=vocab,
-        k=k,
-        seed=seed,
-        config_snapshot=dict(config_snapshot or {}),
-    )
+    tensors = {name: _init_array(rng, shape)
+               for name, shape in _array_shapes(table.vocab_size, table.dim,
+                                                 w_max, n_filters)
+               if name != "embedding"}
+    return _assemble(tensors, table, vocab, k, seed, dict(config_snapshot or {}))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -202,12 +176,12 @@ def vocab_hash(vocab: Vocabulary) -> str:
 
 
 def _array_map(params: ModelParams) -> dict[str, np.ndarray]:
-    """Each array of ``params`` under its :func:`_array_shapes` name."""
+    """Each array of ``params`` under its :func:`_array_shapes` name; the
+    inverse of :func:`_assemble`."""
     f = params.theta_f
     tensors = [t for pair in zip(f.filters, f.conv_biases) for t in pair]
-    tensors += [f.w_fc, f.b_fc, f.embedding.weights, params.theta_y.w, params.theta_y.b]
-    for disc in (params.theta_e, params.theta_pe):
-        tensors += [disc.w1, disc.b1, disc.w2, disc.b2]
+    tensors += [f.w_fc, f.b_fc, f.embedding.weights, *params.theta_y.tensors(),
+                *params.theta_e.tensors(), *params.theta_pe.tensors()]
     names = [name for name, _ in _array_shapes(f.embedding.vocab_size, f.embedding.dim,
                                                f.w_max, f.n_filters)]
     return {name: t.data for name, t in zip(names, tensors, strict=True)}
@@ -226,16 +200,14 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
         "vocab_hash": vocab_hash(params.vocab),
         "config": params.config_snapshot,
     }
-    arrays = _array_map(params)
-    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+    np.savez(path, __meta__=np.array(json.dumps(meta)), **_array_map(params))
 
 
 def _array_shapes(n_vocab: int, d: int, w_max: int, n_filters: int):
-    """(name, shape) of each array a checkpoint holds, filter banks first.
-
-    The one record of the layout: :func:`_array_map` saves under these names
-    and :func:`load_checkpoint` checks and reads them.
-    """
+    """(name, shape) of each parameter array, filter banks first: the one
+    record of the layout. :func:`init_model` draws in this order,
+    :func:`_array_map` saves under these names, :func:`load_checkpoint`
+    checks them and :func:`_assemble` builds the heads from them."""
     for i in range(w_max):
         yield f"f_filter_{i}", (n_filters, d, i + 1)
         yield f"f_bias_{i}", (n_filters,)
@@ -244,11 +216,28 @@ def _array_shapes(n_vocab: int, d: int, w_max: int, n_filters: int):
     yield "embedding", (n_vocab, d)
     yield "y_w", (2, FEATURE_DIM)
     yield "y_b", (2,)
-    for name in ("e", "pe"):
-        yield f"{name}_w1", (DISC_HIDDEN, FEATURE_DIM)
-        yield f"{name}_b1", (DISC_HIDDEN,)
-        yield f"{name}_w2", (1, DISC_HIDDEN)
-        yield f"{name}_b2", (1,)
+    for head in ("e", "pe"):
+        for part, shape in _disc_shapes(FEATURE_DIM, DISC_HIDDEN):
+            yield f"{head}_{part}", shape
+
+
+def _assemble(tensors: dict[str, Tensor], table: EmbeddingTable, vocab: Vocabulary,
+              k: int, seed: int, config: dict) -> ModelParams:
+    """The model whose parameters ``tensors`` holds under their
+    :func:`_array_shapes` names, around the embedding ``table``."""
+    w_max = sum(name.startswith("f_filter_") for name in tensors)
+    theta_f = FeatureExtractorParams(
+        filters=[tensors[f"f_filter_{i}"] for i in range(w_max)],
+        conv_biases=[tensors[f"f_bias_{i}"] for i in range(w_max)],
+        w_fc=tensors["f_w_fc"], b_fc=tensors["f_b_fc"], embedding=table)
+    theta_e, theta_pe = (
+        DiscriminatorParams(*(tensors[f"{head}_{part}"]
+                              for part, _ in _disc_shapes(FEATURE_DIM, DISC_HIDDEN)))
+        for head in ("e", "pe"))
+    return ModelParams(theta_f=theta_f,
+                       theta_y=DetectorParams(w=tensors["y_w"], b=tensors["y_b"]),
+                       theta_e=theta_e, theta_pe=theta_pe,
+                       vocab=vocab, k=k, seed=seed, config_snapshot=config)
 
 
 # metadata field -> its JSON type; exact, since bool is an int subclass
@@ -271,6 +260,8 @@ def _check_meta(meta) -> None:
                       ("vocab_min_count", 1)):
         if meta[name] < low:
             raise CheckpointError(f"metadata {name!r} out of range: {meta[name]}")
+    if meta["k"] > MAX_K:
+        raise CheckpointError(f"metadata 'k' out of range: {meta['k']} > {MAX_K}")
     if meta["k"] < meta["w_max"]:
         raise CheckpointError(f"k = {meta['k']} is below w_max = {meta['w_max']}")
     if not all(isinstance(t, str) for t in meta["vocab_tokens"]):
@@ -310,7 +301,7 @@ def _read_checkpoint(path: str) -> ModelParams:
             raise CheckpointError(f"embedding has shape {emb.shape}, expected (|V|, d >= 1)")
         # every array is checked before the model is built, so no size
         # read from the metadata is allocated unless the arrays agree
-        arrays = {}
+        tensors = {}
         for name, shape in _array_shapes(len(vocab), emb.shape[1],
                                          meta["w_max"], meta["n_filters"]):
             a = emb if name == "embedding" else npz[name]
@@ -320,25 +311,9 @@ def _read_checkpoint(path: str) -> ModelParams:
                     f"expected float of shape {shape}")
             if not np.isfinite(a).all():
                 raise CheckpointError(f"array {name!r} holds non-finite values")
-            arrays[name] = a
+            if name != "embedding":
+                tensors[name] = Tensor(a, requires_grad=True)
     # built from the arrays, not through init_model: scoring then never
     # creates a random generator, whose import costs about 2 MB of RSS
-    def leaf(name: str) -> Tensor:
-        return Tensor(arrays[name], requires_grad=True)
-
-    w_max = meta["w_max"]
-    theta_f = FeatureExtractorParams(
-        filters=[leaf(f"f_filter_{i}") for i in range(w_max)],
-        conv_biases=[leaf(f"f_bias_{i}") for i in range(w_max)],
-        w_fc=leaf("f_w_fc"), b_fc=leaf("f_b_fc"),
-        embedding=EmbeddingTable(Tensor(arrays["embedding"]),
-                                 trainable=meta["embedding_trainable"]),
-    )
-    discs = {name: DiscriminatorParams(*(leaf(f"{name}_{p}")
-                                         for p in ("w1", "b1", "w2", "b2")))
-             for name in ("e", "pe")}
-    return ModelParams(theta_f=theta_f,
-                       theta_y=DetectorParams(w=leaf("y_w"), b=leaf("y_b")),
-                       theta_e=discs["e"], theta_pe=discs["pe"],
-                       vocab=vocab, k=meta["k"], seed=meta["seed"],
-                       config_snapshot=meta["config"])
+    table = EmbeddingTable(Tensor(emb), trainable=meta["embedding_trainable"])
+    return _assemble(tensors, table, vocab, meta["k"], meta["seed"], meta["config"])

@@ -23,6 +23,8 @@ PAD_ID = 0
 UNK_ID = 1
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
+# the longest sequence length k: choose_k's cap, and the bound on a set or saved k
+MAX_K = 256
 
 _CJK_RANGES = (
     (0x4E00, 0x9FFF),   # unified ideographs
@@ -164,12 +166,12 @@ def encode(corpus: EventCorpus, vocab: Vocabulary, k: int) -> np.ndarray:
 
 
 def choose_k(corpora: Iterable[EventCorpus], quantile: float = 0.95) -> int:
-    """Smallest length covering the given quantile of post lengths, in [4, 256]."""
+    """Smallest length covering the given quantile of post lengths, in [4, MAX_K]."""
     lengths = sorted(len(tokens) for corpus in corpora for tokens in corpus.tokens)
     if not lengths:
         raise ContractError("choose_k requires non-empty corpora")
     idx = max(0, math.ceil(quantile * len(lengths)) - 1)
-    return min(256, max(4, lengths[idx]))
+    return min(MAX_K, max(4, lengths[idx]))
 
 
 @dataclass

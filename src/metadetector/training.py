@@ -29,6 +29,7 @@ from .model import (
     pseudo_discriminate,
 )
 from .text import (
+    MAX_K,
     EmbeddingTable,
     EventCorpus,
     Vocabulary,
@@ -78,8 +79,8 @@ class TrainConfig:
         for name in ("embedding_dim", "n_filters", "w_max"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.k is not None and self.k < 1:
-            raise ConfigurationError(f"k must be >= 1 when set, got {self.k}")
+        if self.k is not None and not 1 <= self.k <= MAX_K:
+            raise ConfigurationError(f"k must be in [1, {MAX_K}] when set, got {self.k}")
         if self.batch_size % 2 != 0 or self.batch_size < 2:
             raise ConfigurationError(
                 f"batch_size must be a positive even integer, got {self.batch_size}")

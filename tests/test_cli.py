@@ -149,6 +149,20 @@ def test_mmd_reports_the_gate_train_uses(capsys, tmp_path):
     assert (shift["d_k"], shift["gate_open"]) == (gate["d_k"], gate["gate_open"])
 
 
+def test_train_uses_the_config_seed(capsys, corpora, tmp_path):
+    """A config's seed alone trains the same checkpoint as --seed."""
+    src, tgt = corpora
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": 42}')
+    base = ["train", "--source", src, "--target", tgt, "--epochs", "1",
+            "--batch-size", "20"]
+    a, b = str(tmp_path / "a.npz"), str(tmp_path / "b.npz")
+    assert main([*base, "--config", str(cfg), "--out", a]) == 0
+    assert main([*base, "--seed", "42", "--out", b]) == 0
+    capsys.readouterr()
+    assert open(a, "rb").read() == open(b, "rb").read()
+
+
 GOOD_POST = {"id": "p0", "text": "some words here", "label": 1, "event": "ev"}
 
 
@@ -191,6 +205,7 @@ CHECKPOINT_TAMPERS = {
         f_w_fc=arrays["f_w_fc"].astype(str)),
     "checkpoint-k-string": lambda arrays, meta: meta.update(k=str(meta["k"])),
     "checkpoint-vocab-int": lambda arrays, meta: meta.update(vocab_tokens=5),
+    "checkpoint-k-huge": lambda arrays, meta: meta.update(k=10**13),
 }
 
 
@@ -231,7 +246,8 @@ def _write_bad_input(case, d, checkpoint):
                              "config-embedding-dim-zero": '{"embedding_dim": 0}',
                              "config-w-max-zero": '{"w_max": 0}',
                              "config-lr-nan": '{"lr": NaN}',
-                             "config-lambda-infinite": '{"lambda_": Infinity}'}[case])
+                             "config-lambda-infinite": '{"lambda_": Infinity}',
+                             "config-k-above-max": '{"k": 257}'}[case])
         return path, "config"
     path = d / "bad.npz"
     if case == "checkpoint-not-npz":
@@ -257,7 +273,7 @@ BAD_INPUTS = ["corpus-missing", "corpus-array-line", "corpus-text-not-string",
               "config-missing", "config-invalid-json", "config-not-object",
               "config-string-for-int", "config-bool-for-int",
               "config-embedding-dim-zero", "config-w-max-zero", "config-lr-nan",
-              "config-lambda-infinite", "mmd-embedding-dim-zero",
+              "config-lambda-infinite", "config-k-above-max", "mmd-embedding-dim-zero",
               "weights-top-n-negative", *BAD_VECTORS]
 
 

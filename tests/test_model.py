@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -21,6 +22,7 @@ from metadetector.model import (
     _array_shapes,
     _discriminator_head,
 )
+from metadetector.text import MAX_K
 from metadetector.training import loss_pseudo, sgd_step
 from helpers import build_tiny_model, random_batch
 
@@ -228,7 +230,7 @@ def bad_meta_values(meta):
         "version": json_values().filter(lambda v: type(v) is not int or v != 1),
         "seed": st.one_of(not_(int), st.integers(max_value=-1)),
         "k": st.one_of(not_(int), st.integers(max_value=0),
-                       st.integers(1, meta["w_max"] - 1)),
+                       st.integers(1, meta["w_max"] - 1), st.integers(min_value=MAX_K + 1)),
         "w_max": st.one_of(not_(int), st.integers().filter(lambda v: v != meta["w_max"])),
         "n_filters": st.one_of(not_(int),
                                st.integers().filter(lambda v: v != meta["n_filters"])),
@@ -281,6 +283,15 @@ def test_array_shapes_match_saved_arrays():
     params = build_tiny_model(vocab_size=50, dim=8, n_filters=4, w_max=3)
     saved = {name: a.shape for name, a in _array_map(params).items()}
     assert dict(_array_shapes(50, 8, 3, 4)) == saved
+
+
+def test_init_values_are_pinned():
+    """init_model's draw order: the tiny model's initial arrays, hashed."""
+    digest = hashlib.sha256()
+    for name, a in _array_map(build_tiny_model()).items():
+        digest.update(name.encode() + repr(a.shape).encode() + a.tobytes())
+    assert digest.hexdigest() == (
+        "0d17e9fb43795e44da5d0f9f28e5bcb9a1f69c3518f992d44f323ce2a1bca9a0")
 
 
 def test_k_below_w_max_rejected(saved_checkpoint, tmp_path):
