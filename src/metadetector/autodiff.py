@@ -305,6 +305,13 @@ def text_cnn(table: Tensor, ids: np.ndarray, filters: Sequence[Tensor],
     ...], axis=-1)``, up to matmul rounding. The gradient goes to the first
     argmax; the PAD row gets none, and no table gradient is computed while
     ``table.requires_grad`` is false.
+
+    Forward is one im2col matmul with positions last, then a first argmax
+    per window size over its valid positions only. Backward is one scatter
+    of the gradient per (distinct batch token, filter, offset) of the
+    winning windows, then one matmul each for the filter and the table
+    gradients, so its memory grows with the batch's distinct tokens, not
+    with the table.
     """
     ids = np.asarray(ids)
     if ids.ndim != 2:
@@ -324,45 +331,51 @@ def text_cnn(table: Tensor, ids: np.ndarray, filters: Sequence[Tensor],
     if w_max > k:
         raise ConfigurationError(f"window size {w_max} exceeds sequence length {k}")
     n_out = w_max * n_c
+    banks = [slice((h - 1) * n_c, h * n_c) for h in range(1, w_max + 1)]
 
+    # each bank's rows, one per (filter, offset): taps[h-1] is (n_c * h, d)
+    taps = [f.data.transpose(0, 2, 1).reshape(-1, d) for f in filters]
     # one bank of w_max-wide filters; offsets past a filter's own window are 0
-    bank = np.zeros((n_out, w_max, d))
-    for h, f in enumerate(filters, start=1):
-        bank[(h - 1) * n_c:h * n_c, :h] = f.data.transpose(0, 2, 1)
-    bank_flat = bank.reshape(n_out, w_max * d)
+    bank = np.zeros((n_out, w_max * d))
+    for h, rows in enumerate(banks, start=1):
+        bank[rows, :h * d] = taps[h - 1].reshape(n_c, h * d)
     padded = np.zeros((n_b, k + w_max - 1), dtype=ids.dtype)  # right-padded with PAD
     padded[:, :k] = ids
     window_ids = np.lib.stride_tricks.sliding_window_view(padded, w_max, axis=1)
     cols = table.data[window_ids].reshape(n_b * k, w_max * d)  # im2col by gather
-    conv = (cols @ bank_flat.T).reshape(n_b, k, n_out)
-    # bias, and -inf where a window h runs past the sequence (its last h-1 positions)
-    h_of = np.repeat(np.arange(1, w_max + 1), n_c)
-    offset = np.where(np.arange(k)[:, None] > k - h_of, -np.inf, 0.0)
-    offset += np.concatenate([b.data for b in biases])
-    conv += offset
-    arg = conv.argmax(axis=1)  # (B, n_out), first maximum
-    rows = np.arange(n_b)[:, None]
-    data = conv[rows, arg, np.arange(n_out)]
+    # positions last, so each filter's are contiguous; window h takes its
+    # first maximum over its own k - h + 1 positions
+    conv = (bank @ cols.T).reshape(n_out, n_b, k)
+    arg = np.empty((n_out, n_b), dtype=np.intp)
+    for h, rows in enumerate(banks, start=1):
+        arg[rows] = conv[rows, :, :k - h + 1].argmax(axis=-1)
+    # a bias shifts every position alike: added after the max, it gives the same float
+    data = (np.take_along_axis(conv, arg[..., None], axis=-1)[..., 0].T
+            + np.concatenate([b.data for b in biases]))
 
     def bwd(g: np.ndarray) -> tuple:
-        # only the winning windows carry gradient
-        wins = cols.reshape(n_b, k, w_max * d)[rows, arg]  # (B, n_out, w_max*d)
-        g_bank = np.einsum("bc,bcx->cx", g, wins).reshape(n_out, w_max, d)
-        gfs = [g_bank[(h - 1) * n_c:h * n_c, :h].transpose(0, 2, 1)
-               for h in range(1, w_max + 1)]
+        # one scatter sums g per (distinct batch token, tap) of the winning
+        # windows; a matmul with the table then gives the filter gradients,
+        # and one with the taps the table's
+        uniq, inv = np.unique(padded, return_inverse=True)
+        inv = inv.reshape(padded.shape)
+        first = np.cumsum([0] + [len(t) for t in taps])  # each bank's first tap
+        keys, weights = [], []
+        for h, rows in enumerate(banks, start=1):
+            toks = inv[np.arange(n_b)[:, None], arg[rows, :, None] + np.arange(h)]
+            tap = first[h - 1] + np.arange(n_c * h).reshape(n_c, 1, h)
+            keys.append((toks * first[-1] + tap).reshape(-1))
+            weights.append(np.repeat(g[:, rows].T, h))
+        sums = np.bincount(np.concatenate(keys), np.concatenate(weights),
+                           minlength=len(uniq) * first[-1]).reshape(len(uniq), -1)
+        g_taps = np.split(sums.T @ table.data[uniq], first[1:-1])
+        gfs = [gf.reshape(n_c, h, d).transpose(0, 2, 1)
+               for h, gf in enumerate(g_taps, start=1)]
         gbs = list(g.sum(axis=0).reshape(w_max, n_c))
         gt = None
         if table.requires_grad:
-            # sum g per (token, filter, offset), then multiply by the bank once
-            uniq, inv = np.unique(padded, return_inverse=True)
-            inv = inv.reshape(padded.shape)
-            toks = np.lib.stride_tricks.sliding_window_view(inv, w_max, axis=1)[rows, arg]
-            keys = toks * (n_out * w_max) + np.arange(n_out * w_max).reshape(n_out, w_max)
-            sums = np.bincount(keys.reshape(-1),
-                               weights=np.repeat(g.reshape(-1), w_max),
-                               minlength=len(uniq) * n_out * w_max)
             gt = np.zeros((vocab_size, d))
-            gt[uniq] = sums.reshape(len(uniq), n_out * w_max) @ bank.reshape(-1, d)
+            gt[uniq] = sums @ np.concatenate(taps)
             gt[0] = 0.0  # PAD row stays frozen
         return (gt, *gfs, *gbs)
 

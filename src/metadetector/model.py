@@ -175,16 +175,20 @@ def vocab_hash(vocab: Vocabulary) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def _array_map(params: ModelParams) -> dict[str, np.ndarray]:
-    """Each array of ``params`` under its :func:`_array_shapes` name; the
-    inverse of :func:`_assemble`."""
+def named_tensors(params: ModelParams) -> dict[str, Tensor]:
+    """Each parameter of ``params`` under its :func:`_array_shapes` name;
+    the inverse of :func:`_assemble`."""
     f = params.theta_f
     tensors = [t for pair in zip(f.filters, f.conv_biases) for t in pair]
     tensors += [f.w_fc, f.b_fc, f.embedding.weights, *params.theta_y.tensors(),
                 *params.theta_e.tensors(), *params.theta_pe.tensors()]
     names = [name for name, _ in _array_shapes(f.embedding.vocab_size, f.embedding.dim,
                                                f.w_max, f.n_filters)]
-    return {name: t.data for name, t in zip(names, tensors, strict=True)}
+    return dict(zip(names, tensors, strict=True))
+
+
+def _array_map(params: ModelParams) -> dict[str, np.ndarray]:
+    return {name: t.data for name, t in named_tensors(params).items()}
 
 
 def save_checkpoint(params: ModelParams, path: str) -> None:

@@ -25,6 +25,8 @@ PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 # the longest sequence length k: choose_k's cap, and the bound on a set or saved k
 MAX_K = 256
+# the widest embedding a vector file may declare, checked before the table is made
+MAX_DIM = 4096
 
 _CJK_RANGES = (
     (0x4E00, 0x9FFF),   # unified ideographs
@@ -223,8 +225,9 @@ def load_pretrained_vectors(path: str, vocab: Vocabulary,
                 n, dim = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ParseError(f"non-integer header {header.strip()!r}") from None
-            if n < 0 or dim < 1:
-                raise ParseError(f"header needs N >= 0 and d >= 1, got {header.strip()!r}")
+            if n < 0 or not 1 <= dim <= MAX_DIM:
+                raise ParseError(
+                    f"header needs N >= 0 and 1 <= d <= {MAX_DIM}, got {header.strip()!r}")
             table = EmbeddingTable.random_init(len(vocab), dim, rng, trainable=trainable)
             for lineno in range(2, n + 2):
                 raw = fh.readline()
@@ -239,6 +242,8 @@ def load_pretrained_vectors(path: str, vocab: Vocabulary,
                     vec = np.array([float(v) for v in fields[1:]])
                 except ValueError:
                     raise ParseError("non-numeric vector component") from None
+                if not np.isfinite(vec).all():
+                    raise ParseError("non-finite vector component")
                 idx = vocab.token_to_id.get(token)
                 if idx is not None and idx != PAD_ID:
                     table.weights.data[idx] = vec

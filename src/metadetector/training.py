@@ -26,9 +26,11 @@ from .model import (
     discriminate_event,
     extract_features,
     init_model,
+    named_tensors,
     pseudo_discriminate,
 )
 from .text import (
+    MAX_DIM,
     MAX_K,
     EmbeddingTable,
     EventCorpus,
@@ -79,6 +81,9 @@ class TrainConfig:
         for name in ("embedding_dim", "n_filters", "w_max"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.embedding_dim > MAX_DIM:
+            raise ConfigurationError(
+                f"embedding_dim must be <= {MAX_DIM}, got {self.embedding_dim}")
         if self.k is not None and not 1 <= self.k <= MAX_K:
             raise ConfigurationError(f"k must be in [1, {MAX_K}] when set, got {self.k}")
         if self.batch_size % 2 != 0 or self.batch_size < 2:
@@ -237,6 +242,13 @@ def _check_finite(name: str, value: float, epoch: int) -> float:
     return value
 
 
+def _check_finite_grads(named: list[tuple[str, Tensor]], epoch: int) -> None:
+    """Raise before any update if a gradient holds a NaN or an infinity."""
+    for name, t in named:
+        if not np.isfinite(t.grad).all():
+            raise NumericalError(f"non-finite gradient of {name} at epoch {epoch}")
+
+
 def _seed_streams(seed: int) -> list[np.random.Generator]:
     """Batch-order, dropout and embedding-table generators of a run seed."""
     return [np.random.default_rng(s)
@@ -285,6 +297,7 @@ def train(source: EventCorpus, target: EventCorpus,
            if target_labeled else None)
 
     trainables = params.trainable_tensors()
+    named = [(name, t) for name, t in named_tensors(params).items() if t.requires_grad]
     history: list[EpochRecord] = []
 
     for epoch in range(1, config.epochs + 1):
@@ -323,6 +336,7 @@ def train(source: EventCorpus, target: EventCorpus,
             n_batches += 1
 
             backward(total_loss(l_yw, l_pe, l_ew, config.mu))
+            _check_finite_grads(named, epoch)
             sgd_step(trainables, config.lr)
 
             correct += int((probs.data.argmax(axis=1) == y_s[src_idx]).sum())

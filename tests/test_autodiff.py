@@ -365,6 +365,59 @@ class TestTextCnn:
         assert [gr.shape for gr in grads[1:]] == \
             [f.shape for f in filters] + [b.shape for b in biases]
 
+    @pytest.mark.parametrize("vocab_size, d, n_c, trainable", [
+        (112, 16, 12, True),        # the acceptance config
+        (16_000, 32, 20, False),    # a wide frozen table
+    ])
+    def test_matches_unfused_composite_at_workload_shapes(self, vocab_size, d, n_c,
+                                                          trainable):
+        rng = np.random.default_rng(31)
+        table, filters, biases = text_cnn_params(rng, vocab_size=vocab_size, d=d,
+                                                 n_c=n_c, w_max=4, trainable=trainable)
+        ids = rng.integers(1, vocab_size, size=(200, 40))
+        ids[np.arange(40) >= rng.integers(0, 41, size=(200, 1))] = 0  # PAD tails
+        ids[rng.random(ids.shape) < 0.05] = 0                         # PAD inside
+        ids[:3] = 0                                                   # all-PAD rows
+        g = rng.normal(size=(200, 4 * n_c))
+        fused = output_and_grads(text_cnn, table, ids, filters, biases, g)
+        ref = output_and_grads(unfused_text_cnn, table, ids, filters, biases, g)
+        for a, b in zip(fused, ref):
+            assert np.abs(a - b).max() <= 1e-10
+
+    def test_window_past_the_sequence_never_wins(self):
+        # window 2 at the last position would read token 1 and a PAD:
+        # 30 * 1 > 10, the best of the two valid windows, yet it must not win
+        table = Tensor(np.array([[0.0], [30.0], [-10.0]]), requires_grad=True)
+        f1 = Tensor(np.array([[[1.0]]]), requires_grad=True)
+        f2 = Tensor(np.array([[[1.0, -2.0]]]), requires_grad=True)
+        biases = [Tensor(np.zeros(1), requires_grad=True) for _ in range(2)]
+        ids = np.array([[2, 2, 1]])
+        g = np.ones((1, 2))
+        fused = output_and_grads(text_cnn, table, ids, [f1, f2], biases, g)
+        ref = output_and_grads(unfused_text_cnn, table, ids, [f1, f2], biases, g)
+        assert all(np.array_equal(a, b) for a, b in zip(fused, ref))
+        assert fused[0].tolist() == [[30.0, 10.0]]
+        # token 1 wins window 1; token 2 fills both offsets of window 2's winner
+        assert fused[1][1:].tolist() == [[1.0], [-1.0]]
+        assert fused[3].tolist() == [[[-10.0, -10.0]]]
+
+    def test_frozen_table_backward_memory_at_batch_size(self):
+        # the scatter is sized by the batch's distinct tokens, not by |V|
+        vocab_size, d = 1_000_000, 4
+        rng = np.random.default_rng(8)
+        table, filters, biases = text_cnn_params(rng, vocab_size=vocab_size, d=d,
+                                                 trainable=False)
+        out = text_cnn(table, rng.integers(0, vocab_size, size=(200, 40)),
+                       filters, biases)
+        tracemalloc.start()
+        try:
+            grads = out._backward(np.ones(out.shape))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grads[0] is None
+        assert peak < vocab_size * d * 8 // 10
+
     def test_bad_inputs(self):
         table, filters, biases = text_cnn_params(np.random.default_rng(0))
         with pytest.raises(DimensionError):

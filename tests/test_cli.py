@@ -192,7 +192,11 @@ def test_weights_top_n_zero_is_empty(capsys, corpora, checkpoint):
 # a pretrained-vector file named by a train config, and its bad line
 BAD_VECTORS = {"vectors-not-utf8": (b"1 2\n\xff\xfe 0.5 0.5\n", 2),
                "vectors-short-line": (b"2 2\na 0.5 0.5\nb 0.5\n", 3),
-               "vectors-zero-dim": (b"1 0\na\n", 1)}
+               "vectors-zero-dim": (b"1 0\na\n", 1),
+               "vectors-huge-dim": (b"1 1000000000000\na 0.5\n", 1),
+               "vectors-nan": (b"2 2\na 0.5 0.5\nb nan 0.5\n", 3),
+               "vectors-inf": (b"1 2\na -inf 0.5\n", 2),
+               "vectors-overflow": (b"1 2\na 0.5 1e400\n", 2)}
 
 
 # a saved checkpoint's arrays and metadata, and one change that spoils them
@@ -247,7 +251,9 @@ def _write_bad_input(case, d, checkpoint):
                              "config-w-max-zero": '{"w_max": 0}',
                              "config-lr-nan": '{"lr": NaN}',
                              "config-lambda-infinite": '{"lambda_": Infinity}',
-                             "config-k-above-max": '{"k": 257}'}[case])
+                             "config-k-above-max": '{"k": 257}',
+                             "config-embedding-dim-huge":
+                                 '{"embedding_dim": 1000000000000}'}[case])
         return path, "config"
     path = d / "bad.npz"
     if case == "checkpoint-not-npz":
@@ -273,7 +279,8 @@ BAD_INPUTS = ["corpus-missing", "corpus-array-line", "corpus-text-not-string",
               "config-missing", "config-invalid-json", "config-not-object",
               "config-string-for-int", "config-bool-for-int",
               "config-embedding-dim-zero", "config-w-max-zero", "config-lr-nan",
-              "config-lambda-infinite", "config-k-above-max", "mmd-embedding-dim-zero",
+              "config-lambda-infinite", "config-k-above-max", "config-embedding-dim-huge",
+              "mmd-embedding-dim-zero",
               "weights-top-n-negative", *BAD_VECTORS]
 
 

@@ -1,3 +1,5 @@
+import math
+import re
 import string
 import unicodedata
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from metadetector.autodiff import backward
 from metadetector.errors import ContractError, ParseError
 from metadetector.text import (
+    MAX_DIM,
     PAD_ID,
     UNK_ID,
     EmbeddingTable,
@@ -220,6 +223,60 @@ class TestPretrainedVectors:
         # uniform(-b, b) has mean 0 and sd b/sqrt(3)
         assert abs(vals.mean()) < bound / np.sqrt(3 * vals.size) * 5
         assert abs(vals.std() - bound / np.sqrt(3)) < 0.01
+
+
+def _finite_number(field):
+    try:
+        return math.isfinite(float(field))
+    except ValueError:
+        return False
+
+
+# components no vector file may hold: not numbers, or not finite
+bad_components = st.one_of(
+    st.sampled_from(["", "x", "1.2.3", "0x10", "1,5", "--1", "nan", "-inf",
+                     "Infinity", "1e400", "-1e999"]),
+    st.text(st.characters(codec="utf-8", exclude_characters=" \n"),
+            min_size=1, max_size=6).filter(lambda f: not _finite_number(f)))
+
+
+@st.composite
+def spoiled_vector_files(draw):
+    """A word2vec text file with one fault: its bytes, and the line the
+    loader must name."""
+    dim, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    component = st.floats(-10, 10).map(repr)
+    lines = [" ".join([f"t{i}"] + [draw(component) for _ in range(dim)])
+             for i in range(n)]
+    header = f"{n} {dim}"
+    at = draw(st.integers(0, n - 1))
+    fault = draw(st.sampled_from(["component", "short-line", "missing-lines", "header"]))
+    if fault == "component":  # wrongly typed or non-finite
+        fields = lines[at].split(" ")
+        fields[draw(st.integers(1, dim))] = draw(bad_components)
+        lines[at] = " ".join(fields)
+    elif fault == "short-line":  # cut after a whole field
+        lines[at] = " ".join(lines[at].split(" ")[:draw(st.integers(0, dim))])
+    elif fault == "missing-lines":  # the file ends early
+        lines = lines[:at]
+    else:
+        header = draw(st.sampled_from(["", f"{n}", f"{n} {dim} 1", f"{n} x", f"{n}.0 {dim}",
+                                       f"-1 {dim}", f"{n} 0", f"{n} {MAX_DIM + 1}",
+                                       f"{n} 1e3", f"{n} 1000000000000"]))
+        at = -1
+    data = "\n".join([header, *lines]) + "\n"
+    return data.encode(), at + 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(spoiled=spoiled_vector_files())
+def test_spoiled_vector_file_names_its_line(spoiled, tmp_path_factory):
+    data, line = spoiled
+    path = tmp_path_factory.mktemp("vectors") / "vec.txt"
+    path.write_bytes(data)
+    vocab = build_vocab([corpus_of(["t0 t1 t2 t3"])])
+    with pytest.raises(ParseError, match=re.escape(f"{path}, line {line}:")):
+        load_pretrained_vectors(str(path), vocab, np.random.default_rng(0))
 
 
 class TestPadFrozen:

@@ -6,7 +6,7 @@ import pytest
 from metadetector import text
 from metadetector.autodiff import Tensor, backward
 from metadetector.data_synth import SynthSpec, generate
-from metadetector.errors import ConfigurationError, ContractError
+from metadetector.errors import ConfigurationError, ContractError, NumericalError
 from metadetector.model import init_discriminator, _discriminator_head
 from metadetector.training import (
     TrainConfig,
@@ -248,6 +248,34 @@ class TestTrain:
         train(source, target, TrainConfig(epochs=2, batch_size=20,
                                           embedding_dim=8, n_filters=4))
         assert len(calls) == len(source) + len(target)
+
+    def test_non_finite_gradient_stops_before_any_update(self, monkeypatch):
+        from metadetector import training
+        from metadetector.model import _array_map
+
+        spec = SynthSpec(n_source=60, n_target=60, post_length=8, seed=2)
+        source, target = generate(spec)
+        seen = {}
+        init_model, real_backward = training.init_model, training.backward
+
+        def capture_init(*args, **kwargs):
+            seen["params"] = init_model(*args, **kwargs)
+            return seen["params"]
+
+        def nan_backward(seed):  # the third step's y_b gradient holds a NaN
+            real_backward(seed)
+            seen["steps"] = seen.get("steps", 0) + 1
+            if seen["steps"] == 3:
+                seen["before"] = {n: a.copy() for n, a in _array_map(seen["params"]).items()}
+                seen["params"].theta_y.b.grad[1] = np.nan
+
+        monkeypatch.setattr(training, "init_model", capture_init)
+        monkeypatch.setattr(training, "backward", nan_backward)
+        with pytest.raises(NumericalError, match="gradient of y_b at epoch 1"):
+            train(source, target, TrainConfig(epochs=2, batch_size=20, embedding_dim=8,
+                                              n_filters=4))
+        after = _array_map(seen["params"])
+        assert all(np.array_equal(after[n], a) for n, a in seen["before"].items())
 
     def test_history_csv(self, run, tmp_path):
         _, history, _ = run
