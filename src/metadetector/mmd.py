@@ -2,8 +2,9 @@
 
 The gate statistic is computed once, before training, on mean-pooled word
 embeddings of each post; weighting is enabled iff the distance d_k reaches
-the threshold d*. The gate reads the pooled distance matrix in blocks of
-rows and never holds it whole.
+the threshold d*. There is one MMD^2, ``mmd_squared``: a sum over blocks of
+rows of the pooled distance matrix, which is never held whole, made
+symmetric in its two samples by putting them in a canonical order.
 """
 
 from __future__ import annotations
@@ -81,27 +82,6 @@ def median_bandwidths(pairwise_sq_dists: np.ndarray) -> KernelBank:
     return _median_bank(float(np.median(positive)))
 
 
-def _mean_kernel(sq_dists: np.ndarray, bank: KernelBank) -> np.ndarray:
-    k = np.zeros_like(sq_dists)
-    for s2 in bank.sq_bandwidths:
-        k += np.exp(-sq_dists / (2.0 * s2))
-    return k / len(bank.sq_bandwidths)
-
-
-def mmd_squared(xs: np.ndarray, ys: np.ndarray, bank: KernelBank,
-                allow_small: bool = False) -> float:
-    """Biased V-statistic estimate of squared MMD under the kernel mixture."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
-    if not allow_small and (len(xs) < 2 or len(ys) < 2):
-        raise SampleSizeError(
-            f"need at least 2 samples per side, got {len(xs)} and {len(ys)}")
-    kxx = _mean_kernel(_pairwise_sq_dists(xs, xs), bank).mean()
-    kyy = _mean_kernel(_pairwise_sq_dists(ys, ys), bank).mean()
-    kxy = _mean_kernel(_pairwise_sq_dists(xs, ys), bank).mean()
-    return float(kxx + kyy - 2.0 * kxy)
-
-
 def corpus_representations(corpus: EventCorpus, vocab: Vocabulary,
                            table: EmbeddingTable) -> np.ndarray:
     reps = []
@@ -126,11 +106,11 @@ def _upper_blocks(pooled: np.ndarray):
         yield i0, block
 
 
-def _gate_median(pooled: np.ndarray, centred: np.ndarray) -> float:
+def _gate_median(pooled: np.ndarray) -> float:
     """Exact median of the non-zero distances ((x_i - x_j)^2).sum() over i < j.
 
     Pass 1 ranks the pairs by their Gram-expansion distances, from blocks of
-    ``centred``: a histogram over the top bits of the float64 bit patterns,
+    the centred rows: a histogram over the top bits of the float64 bit patterns,
     which are monotone in the value, finds the bins that hold the median
     ranks. A Gram distance is within ``margin`` (a bound on the rounding of
     both forms) of the direct one, so pass 2 counts the pairs surely below
@@ -139,6 +119,7 @@ def _gate_median(pooled: np.ndarray, centred: np.ndarray) -> float:
     they rank first and are left out.
     """
     n, dim = pooled.shape
+    centred = pooled - pooled.mean(axis=0)  # same distances, smaller Gram rounding
     hist = np.zeros(1 << (63 - _KEY_SHIFT), dtype=np.int64)
     for _, block in _upper_blocks(centred):
         hist += np.bincount((block.view(np.int64) >> _KEY_SHIFT).ravel(),
@@ -168,31 +149,45 @@ def _gate_median(pooled: np.ndarray, centred: np.ndarray) -> float:
     return float((kept[ranks[0] - below] + kept[ranks[1] - below]) / 2.0)
 
 
-def _gate_mmd_squared(centred: np.ndarray, n_source: int,
-                      bank: KernelBank) -> float:
-    """``mmd_squared`` of the first ``n_source`` rows against the rest.
+def mmd_squared(xs: np.ndarray, ys: np.ndarray, bank: KernelBank,
+                allow_small: bool = False) -> float:
+    """Biased V-statistic estimate of squared MMD under the kernel mixture.
 
-    Needs a median bank, whose bandwidths double from kernel to kernel: with
-    u = exp(-d / (2 sigma_max^2)) the kernels are u, u^2, u^4, ..., so one
-    exp and repeated squaring give them all. Sums run over pairs i < j; a
-    diagonal entry counts once (kernel 1), an off-diagonal entry twice.
+    Sums over the pairs i < j of the pooled, centred samples, a block of
+    ``_upper_blocks`` at a time: a diagonal entry counts once (each kernel
+    is 1 there), an off-diagonal entry twice. The kernels run from the
+    widest bandwidth down; one whose bandwidth halves the previous one is
+    that kernel squared, so a median bank takes one exp per block. The
+    samples are first put in a canonical order, which makes the result
+    bit-for-bit symmetric in them.
     """
-    n_k = len(bank.sq_bandwidths)
-    n_target = len(centred) - n_source
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
+    least = 1 if allow_small else 2
+    if len(xs) < least or len(ys) < least:
+        raise SampleSizeError(
+            f"need at least {least} samples per side, got {len(xs)} and {len(ys)}")
+    if (len(ys), ys.tobytes()) < (len(xs), xs.tobytes()):
+        xs, ys = ys, xs
+    n_x, n_y, n_k = len(xs), len(ys), len(bank.sq_bandwidths)
+    centred = np.concatenate([xs, ys], axis=0)
+    centred -= centred.mean(axis=0)  # same distances, smaller Gram rounding
     s_xx = s_yy = s_xy = 0.0
     for i0, block in _upper_blocks(centred):
-        u = np.exp(np.divide(block, -2.0 * bank.sq_bandwidths[-1], out=block),
-                   out=block)
-        k = u.copy()
-        for _ in range(n_k - 1):
-            k += np.multiply(u, u, out=u)
-        src = max(n_source - i0, 0)  # source rows and columns of the block
-        s_xx += float(k[:src, :src].sum())
-        s_xy += float(k[:src, src:].sum())
-        s_yy += float(k[src:, src:].sum())
-    kxx = (n_source * n_k + 2.0 * s_xx) / (n_k * n_source ** 2)
-    kyy = (n_target * n_k + 2.0 * s_yy) / (n_k * n_target ** 2)
-    kxy = s_xy / (n_k * n_source * n_target)
+        src = max(n_x - i0, 0)  # rows and columns of xs in the block
+        k, wider = np.empty_like(block), None
+        for s2 in bank.sq_bandwidths[::-1]:
+            if wider is not None and s2 * 2.0 == wider:
+                np.multiply(k, k, out=k)
+            else:
+                np.exp(np.divide(block, -2.0 * s2, out=k), out=k)
+            wider = s2
+            s_xx += float(k[:src, :src].sum())
+            s_xy += float(k[:src, src:].sum())
+            s_yy += float(k[src:, src:].sum())
+    kxx = (n_x * n_k + 2.0 * s_xx) / (n_k * n_x ** 2)
+    kyy = (n_y * n_k + 2.0 * s_yy) / (n_k * n_y ** 2)
+    kxy = s_xy / (n_k * n_x * n_y)
     return kxx + kyy - 2.0 * kxy
 
 
@@ -201,7 +196,8 @@ def shift_gate(source: EventCorpus, target: EventCorpus, vocab: Vocabulary,
     """Distance d_k = sqrt(max(0, MMD^2)) over post representations; gate on d_k >= d*.
 
     The bank is the median heuristic over distinct pairs of the pooled
-    posts. The pooled distance matrix is never held whole: memory is
+    posts, and MMD^2 is ``mmd_squared`` under that bank. The pooled
+    distance matrix is never held whole: memory is
     O((n_s + n_t) * GATE_BLOCK_ROWS).
     """
     xs = corpus_representations(source, vocab, table)
@@ -209,10 +205,8 @@ def shift_gate(source: EventCorpus, target: EventCorpus, vocab: Vocabulary,
     if len(xs) < 2 or len(ys) < 2:
         raise SampleSizeError(
             f"need at least 2 samples per side, got {len(xs)} and {len(ys)}")
-    pooled = np.concatenate([xs, ys], axis=0)
-    centred = pooled - pooled.mean(axis=0)  # same distances, smaller Gram rounding
-    bank = _median_bank(_gate_median(pooled, centred))
-    d_k = float(np.sqrt(max(0.0, _gate_mmd_squared(centred, len(xs), bank))))
+    bank = _median_bank(_gate_median(np.concatenate([xs, ys], axis=0)))
+    d_k = float(np.sqrt(max(0.0, mmd_squared(xs, ys, bank))))
     return ShiftReport(d_k=d_k, d_star=d_star, gate_open=d_k >= d_star,
                        n_source=len(xs), n_target=len(ys),
                        sq_bandwidths=[float(b) for b in bank.sq_bandwidths])

@@ -27,6 +27,8 @@ UNK_TOKEN = "<unk>"
 MAX_K = 256
 # the widest embedding a vector file may declare, checked before the table is made
 MAX_DIM = 4096
+# the most filters per window size a config may set, checked before the model is made
+MAX_FILTERS = 1024
 
 _CJK_RANGES = (
     (0x4E00, 0x9FFF),   # unified ideographs
@@ -136,7 +138,12 @@ class Vocabulary:
 
 
 def build_vocab(corpora: Iterable[EventCorpus], min_count: int = 1) -> Vocabulary:
-    """Frequency-ordered vocabulary over all corpora; ties lexicographic."""
+    """Frequency-ordered vocabulary over all corpora; ties lexicographic.
+
+    Ids are dense: PAD and UNK hold 0 and 1, and the kept tokens follow. A
+    corpus token spelled like a reserved one gets no id of its own, so a
+    literal ``<pad>`` in a post reads as padding and ``<unk>`` as UNK.
+    """
     if min_count < 1:
         raise ConfigurationError(f"min_count must be >= 1, got {min_count}")
     counts: Counter[str] = Counter()
@@ -147,7 +154,8 @@ def build_vocab(corpora: Iterable[EventCorpus], min_count: int = 1) -> Vocabular
             counts.update(tokens)
     if not seen:
         raise ContractError("build_vocab requires at least one corpus")
-    kept = sorted((tok for tok, c in counts.items() if c >= min_count),
+    kept = sorted((tok for tok, c in counts.items()
+                   if c >= min_count and tok not in (PAD_TOKEN, UNK_TOKEN)),
                   key=lambda t: (-counts[t], t))
     mapping = {PAD_TOKEN: PAD_ID, UNK_TOKEN: UNK_ID}
     for i, tok in enumerate(kept):

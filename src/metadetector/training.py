@@ -31,6 +31,7 @@ from .model import (
 )
 from .text import (
     MAX_DIM,
+    MAX_FILTERS,
     MAX_K,
     EmbeddingTable,
     EventCorpus,
@@ -78,14 +79,14 @@ class TrainConfig:
         for name in ("lambda_", "mu", "d_star", "lr", "dropout"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("embedding_dim", "n_filters", "w_max"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.embedding_dim > MAX_DIM:
+        for name, high in (("embedding_dim", MAX_DIM), ("n_filters", MAX_FILTERS),
+                           ("w_max", MAX_K)):
+            if not 1 <= getattr(self, name) <= high:
+                raise ConfigurationError(
+                    f"{name} must be in [1, {high}], got {getattr(self, name)}")
+        if self.k is not None and not self.w_max <= self.k <= MAX_K:
             raise ConfigurationError(
-                f"embedding_dim must be <= {MAX_DIM}, got {self.embedding_dim}")
-        if self.k is not None and not 1 <= self.k <= MAX_K:
-            raise ConfigurationError(f"k must be in [1, {MAX_K}] when set, got {self.k}")
+                f"k must be in [w_max = {self.w_max}, {MAX_K}] when set, got {self.k}")
         if self.batch_size % 2 != 0 or self.batch_size < 2:
             raise ConfigurationError(
                 f"batch_size must be a positive even integer, got {self.batch_size}")
@@ -259,11 +260,17 @@ def prepare(source: EventCorpus, target: EventCorpus, config: TrainConfig
             ) -> tuple[Vocabulary, int, EmbeddingTable, ShiftReport]:
     """The vocabulary, sequence length, embedding table and shift gate of a run.
 
+    A window size ``w_max`` above the sequence length is refused before the
+    table is made or the gate runs.
+
     The table is random or pretrained, frozen or not, and drawn from the
     run seed's embedding-table generator, so ``config.seed`` fixes it.
     """
     vocab = build_vocab([source, target], min_count=config.min_count)
     k = config.k if config.k is not None else choose_k([source, target])
+    if config.w_max > k:
+        raise ConfigurationError(
+            f"w_max = {config.w_max} exceeds the sequence length k = {k}")
     emb_rng = _seed_streams(config.seed)[2]
     trainable = not config.freeze_embeddings
     if config.pretrained_vectors:

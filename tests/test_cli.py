@@ -163,6 +163,24 @@ def test_train_uses_the_config_seed(capsys, corpora, tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+def test_reserved_token_spellings_in_posts(capsys, tmp_path):
+    """Posts holding ``<pad>`` and ``<unk>`` gate and train like any others."""
+    paths = {}
+    for event in ("src", "tgt"):
+        paths[event] = str(tmp_path / f"{event}.jsonl")
+        with open(paths[event], "w", encoding="utf-8") as fh:
+            fh.write(_jsonl(*({"id": f"{event}{i}", "label": i % 2, "event": event,
+                               "text": f"<pad> <unk> w{i % 3} {event} <unk>"}
+                              for i in range(20))))
+    code, _, _ = run_cli(capsys, "mmd", "--source", paths["src"],
+                         "--target", paths["tgt"])
+    assert code == 0
+    code, _, _ = run_cli(capsys, "train", "--source", paths["src"],
+                         "--target", paths["tgt"], "--out", str(tmp_path / "m.npz"),
+                         "--epochs", "1", "--batch-size", "10")
+    assert code == 0
+
+
 GOOD_POST = {"id": "p0", "text": "some words here", "label": 1, "event": "ev"}
 
 
@@ -252,6 +270,9 @@ def _write_bad_input(case, d, checkpoint):
                              "config-lr-nan": '{"lr": NaN}',
                              "config-lambda-infinite": '{"lambda_": Infinity}',
                              "config-k-above-max": '{"k": 257}',
+                             "config-n-filters-huge": '{"n_filters": 1000000000}',
+                             "config-w-max-huge": '{"w_max": 1000000000}',
+                             "config-w-max-above-k": '{"w_max": 9, "k": 8}',
                              "config-embedding-dim-huge":
                                  '{"embedding_dim": 1000000000000}'}[case])
         return path, "config"
@@ -280,6 +301,7 @@ BAD_INPUTS = ["corpus-missing", "corpus-array-line", "corpus-text-not-string",
               "config-string-for-int", "config-bool-for-int",
               "config-embedding-dim-zero", "config-w-max-zero", "config-lr-nan",
               "config-lambda-infinite", "config-k-above-max", "config-embedding-dim-huge",
+              "config-n-filters-huge", "config-w-max-huge", "config-w-max-above-k",
               "mmd-embedding-dim-zero",
               "weights-top-n-negative", *BAD_VECTORS]
 

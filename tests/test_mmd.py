@@ -82,6 +82,8 @@ class TestMmdSquared:
         bank = KernelBank(np.array([1.0]))
         with pytest.raises(SampleSizeError):
             mmd_squared(np.array([[0.0]]), np.array([[1.0]]), bank)
+        with pytest.raises(SampleSizeError):
+            mmd_squared(np.zeros((0, 1)), np.array([[1.0]]), bank, allow_small=True)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(2)
@@ -97,6 +99,54 @@ class TestMmdSquared:
         xs, ys = rng.normal(size=(8, 2)), rng.normal(size=(12, 2))
         bank = KernelBank(np.array([0.5, 1.0, 2.0]))
         assert mmd_squared(xs, ys, bank) == mmd_squared(ys, xs, bank)
+
+    def test_symmetry_exact_over_blocks(self, monkeypatch):
+        monkeypatch.setattr(mmd, "GATE_BLOCK_ROWS", 7)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            n, m = rng.integers(2, 30, size=2)
+            d = int(rng.integers(1, 6))
+            xs, ys = rng.normal(size=(n, d)), rng.normal(loc=0.5, size=(m, d))
+            bank = KernelBank(np.sort(rng.uniform(0.1, 4.0, size=3)))
+            assert mmd_squared(xs, ys, bank) == mmd_squared(ys, xs, bank)
+
+    @pytest.mark.parametrize("bank", [
+        np.sort(np.random.default_rng(7).uniform(0.1, 4.0, size=5)),  # no doubling
+        np.array([0.5, 1.0, 3.0, 6.0]),  # doubling and not, mixed
+        np.array([1.5]),
+    ])
+    def test_blocks_match_oracle(self, monkeypatch, bank):
+        monkeypatch.setattr(mmd, "GATE_BLOCK_ROWS", 7)
+        rng = np.random.default_rng(8)
+        xs, ys = rng.normal(size=(19, 3)), rng.normal(loc=0.4, size=(16, 3))
+        bank = KernelBank(bank)
+        assert mmd_squared(xs, ys, bank) == pytest.approx(
+            naive_mmd_squared(xs, ys, bank), abs=1e-10)
+
+    def test_blocks_match_oracle_unequal_sizes_with_duplicates(self, monkeypatch):
+        monkeypatch.setattr(mmd, "GATE_BLOCK_ROWS", 7)
+        rng = np.random.default_rng(9)
+        xs = rng.normal(size=(23, 4))
+        xs[5:9] = xs[0]
+        ys = np.concatenate([xs[10:14], rng.normal(loc=0.3, size=(7, 4)), xs[:2]])
+        bank = KernelBank(0.8 * 2.0 ** np.arange(-3, 4))
+        assert mmd_squared(xs, ys, bank) == pytest.approx(
+            naive_mmd_squared(xs, ys, bank), abs=1e-10)
+
+    def test_memory_grows_linearly(self):
+        rng = np.random.default_rng(10)
+        xs, ys = rng.normal(size=(3000, 16)), rng.normal(loc=0.2, size=(3000, 16))
+        bank = KernelBank(np.array([0.5, 1.0, 3.0]))
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                mmd_squared(xs[:n], ys[:n], bank)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(3000) < 3 * peak(1500)
 
     def test_scale_invariance_with_median_bank(self):
         rng = np.random.default_rng(4)
@@ -178,6 +228,14 @@ class TestBlockedGate:
         assert expected >= 0.05
         d_k = shift_gate(source, target, vocab, table).d_k
         assert d_k == pytest.approx(expected, rel=1e-9, abs=0)
+
+    def test_d_k_is_mmd_squared_under_the_reported_bank(self, monkeypatch):
+        monkeypatch.setattr(mmd, "GATE_BLOCK_ROWS", 64)
+        source, target, vocab, table, reps = self.corpora(300, 280, 16)
+        report = shift_gate(source, target, vocab, table)
+        bank = KernelBank(np.array(report.sq_bandwidths))
+        mmd2 = mmd_squared(reps[:len(source)], reps[len(source):], bank)
+        assert report.d_k == math.sqrt(max(0.0, mmd2))
 
     def test_memory_grows_linearly(self):
         source, target, vocab, table, _ = self.corpora(3000, 3000, 16)

@@ -129,6 +129,14 @@ class TestBuildVocab:
         ids = sorted(vocab.token_to_id.values())
         assert ids == list(range(len(vocab)))
 
+    def test_reserved_spellings_keep_reserved_ids(self):
+        corpus = corpus_of(["<pad> a <unk>", "<unk> <pad> b"])
+        vocab = build_vocab([corpus])
+        assert vocab.token_to_id["<pad>"] == PAD_ID
+        assert vocab.token_to_id["<unk>"] == UNK_ID
+        assert sorted(vocab.token_to_id.values()) == list(range(len(vocab)))
+        assert encode(corpus, vocab, 3)[0].tolist() == [PAD_ID, vocab.id_for("a"), UNK_ID]
+
     def test_empty_corpora_rejected(self):
         with pytest.raises(ContractError):
             build_vocab([])

@@ -47,6 +47,27 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError):
             TrainConfig.from_file(str(path))
 
+    @pytest.mark.parametrize("field", [{"n_filters": text.MAX_FILTERS + 1},
+                                       {"w_max": text.MAX_K + 1},
+                                       {"w_max": 9, "k": 8}])
+    def test_sizes_bounded(self, field):
+        with pytest.raises(ConfigurationError, match=next(iter(field))):
+            TrainConfig(**field)
+
+    def test_w_max_above_chosen_k_refused_before_the_gate(self, monkeypatch):
+        from metadetector import training
+
+        source, target = generate(SynthSpec(n_source=20, n_target=20,
+                                            post_length=6, seed=0))
+        k = text.choose_k([source, target])
+
+        def no_gate(*args, **kwargs):
+            raise AssertionError("the shift gate ran")
+
+        monkeypatch.setattr(training, "shift_gate", no_gate)
+        with pytest.raises(ConfigurationError, match=f"k = {k}"):
+            training.prepare(source, target, TrainConfig(w_max=k + 1))
+
 
 class TestDetectionLoss:
     def test_uniform_probs_give_ln2(self):
