@@ -50,6 +50,8 @@ class SynthSpec:
                 raise ConfigurationError(f"{name} must be in [0, 1], got {v}")
         if self.post_length < 1:
             raise ConfigurationError("post_length must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
     # disjoint vocabulary partitions
     @property

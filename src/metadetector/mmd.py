@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, SampleSizeError
-from .text import PAD_ID, EmbeddingTable, EventCorpus, Vocabulary
+from .text import PAD_ID, EmbeddingTable, EventCorpus, Vocabulary, token_ids
 
 N_KERNELS = 7
 # Rows of the pooled distance matrix that the shift gate holds at a time.
@@ -50,15 +50,6 @@ class ShiftReport:
         return asdict(self)
 
 
-def post_representation(ids: np.ndarray, table: EmbeddingTable) -> np.ndarray:
-    """Mean of non-PAD token embeddings; zero vector for empty posts."""
-    ids = np.asarray(ids)
-    keep = ids != PAD_ID
-    if not keep.any():
-        return np.zeros(table.dim)
-    return table.weights.data[ids[keep]].mean(axis=0)
-
-
 def _pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     d = (x ** 2).sum(axis=1, keepdims=True) + (y ** 2).sum(axis=1)
     xy = x @ y.T
@@ -84,11 +75,16 @@ def median_bandwidths(pairwise_sq_dists: np.ndarray) -> KernelBank:
 
 def corpus_representations(corpus: EventCorpus, vocab: Vocabulary,
                            table: EmbeddingTable) -> np.ndarray:
-    reps = []
-    for tokens in corpus.tokens:
-        ids = np.array([vocab.id_for(t) for t in tokens], dtype=np.int64)
-        reps.append(post_representation(ids, table))
-    return np.stack(reps)
+    """Each post's mean embedding of its non-PAD tokens (all, not the first k);
+    zeros for a post with none. One ``bincount`` per column sums in token
+    order, as ``table[ids].mean(axis=0)`` does, so each mean is the same float."""
+    ids, lengths = token_ids(corpus, vocab)
+    posts = np.repeat(np.arange(len(corpus)), lengths)
+    keep = ids != PAD_ID
+    ids, posts = ids[keep], posts[keep]
+    counts = np.maximum(np.bincount(posts, minlength=len(corpus)), 1)
+    sums = [np.bincount(posts, col[ids], len(corpus)) for col in table.weights.data.T]
+    return np.stack(sums, axis=1) / counts[:, None]
 
 
 def _upper_blocks(pooled: np.ndarray):

@@ -24,7 +24,7 @@ from .autodiff import (
     text_cnn,
 )
 from .errors import CheckpointError
-from .text import MAX_K, EmbeddingTable, Vocabulary
+from .text import MAX_K, PAD_TOKEN, UNK_TOKEN, EmbeddingTable, Vocabulary
 
 FEATURE_DIM = 32
 DISC_HIDDEN = 32
@@ -270,6 +270,9 @@ def _check_meta(meta) -> None:
         raise CheckpointError(f"k = {meta['k']} is below w_max = {meta['w_max']}")
     if not all(isinstance(t, str) for t in meta["vocab_tokens"]):
         raise CheckpointError("metadata 'vocab_tokens' must be a list of strings")
+    if meta["vocab_tokens"][:2] != [PAD_TOKEN, UNK_TOKEN]:
+        raise CheckpointError(f"metadata 'vocab_tokens' must begin with "
+                              f"{PAD_TOKEN!r}, {UNK_TOKEN!r}")
 
 
 def load_checkpoint(path: str) -> ModelParams:

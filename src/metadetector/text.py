@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice, repeat
 from typing import Iterable, Optional
 
 import numpy as np
@@ -30,11 +32,10 @@ MAX_DIM = 4096
 # the most filters per window size a config may set, checked before the model is made
 MAX_FILTERS = 1024
 
-_CJK_RANGES = (
-    (0x4E00, 0x9FFF),   # unified ideographs
-    (0x3400, 0x4DBF),   # extension A
-    (0xF900, 0xFAFF),   # compatibility ideographs
-)
+# CJK ideographs (unified, extension A, compatibility): a word splits into
+# single CJK characters and runs of anything else
+_CJK = "\u4e00-\u9fff\u3400-\u4dbf\uf900-\ufaff"
+_CJK_CHAR_OR_RUN = re.compile(f"[{_CJK}]|[^{_CJK}]+")
 
 # The ASCII characters of Unicode category P*: 23 of them. Not
 # ``string.punctuation``, whose ``$+<=>^`|~`` are symbols (S*) and are kept.
@@ -76,16 +77,11 @@ class EventCorpus:
         return [tokenize(p.text) for p in self.posts]
 
 
-def _is_cjk(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _CJK_RANGES)
-
-
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, strip edge punctuation, CJK to chars.
 
     Punctuation is Unicode category P*. An ASCII text is split and stripped
-    by ``str`` methods alone; other texts go character by character.
+    by ``str`` methods alone; other texts strip per character, split by regex.
     """
     words = text.lower().split()
     if text.isascii():  # fast path: no CJK, and P* is _ASCII_PUNCT
@@ -97,24 +93,7 @@ def tokenize(text: str) -> list[str]:
             start += 1
         while end > start and unicodedata.category(raw[end - 1]).startswith("P"):
             end -= 1
-        word = raw[start:end]
-        if not word:
-            continue
-        if word.isascii():  # fast path: ASCII words contain no CJK
-            tokens.append(word)
-            continue
-        # split contiguous CJK runs into single characters
-        buf = ""
-        for ch in word:
-            if _is_cjk(ch):
-                if buf:
-                    tokens.append(buf)
-                    buf = ""
-                tokens.append(ch)
-            else:
-                buf += ch
-        if buf:
-            tokens.append(buf)
+        tokens += _CJK_CHAR_OR_RUN.findall(raw[start:end])
     return tokens
 
 
@@ -125,9 +104,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.token_to_id)
-
-    def id_for(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
 
     @property
     def tokens_by_id(self) -> list[str]:
@@ -163,16 +139,28 @@ def build_vocab(corpora: Iterable[EventCorpus], min_count: int = 1) -> Vocabular
     return Vocabulary(token_to_id=mapping, min_count=min_count)
 
 
+def token_ids(corpus: EventCorpus, vocab: Vocabulary,
+              k: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of each post's first ``k`` tokens (all if ``k`` is None), post after
+    post, and each post's count: the one token-to-id map, UNK if unknown."""
+    tokens = corpus.tokens
+    lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    if k is not None:  # islice, not a slice: no copy of each post's list
+        tokens = map(islice, tokens, repeat(k))
+        np.minimum(lengths, k, out=lengths)
+    ids = np.fromiter(map(vocab.token_to_id.get, chain.from_iterable(tokens), repeat(UNK_ID)),
+                      dtype=np.int64, count=int(lengths.sum()))
+    return ids, lengths
+
+
 def encode(corpus: EventCorpus, vocab: Vocabulary, k: int) -> np.ndarray:
     """(n, k) token ids, one row per post, truncated/right-padded to ``k``."""
     if k < 1:
         raise ConfigurationError(f"sequence length k must be >= 1, got {k}")
-    ids = np.full((len(corpus), k), PAD_ID, dtype=np.int64)
-    lookup = vocab.token_to_id.get
-    for row, tokens in zip(ids, corpus.tokens):
-        head = tokens[:k]
-        row[:len(head)] = [lookup(t, UNK_ID) for t in head]
-    return ids
+    ids, lengths = token_ids(corpus, vocab, k)
+    out = np.full((len(corpus), k), PAD_ID, dtype=np.int64)
+    out[np.arange(k) < lengths[:, None]] = ids  # row-major: post after post
+    return out
 
 
 def choose_k(corpora: Iterable[EventCorpus], quantile: float = 0.95) -> int:
@@ -291,6 +279,12 @@ def _parse_post(raw: bytes) -> Optional[Post]:
         raise ParseError("text must be a string")
     if not isinstance(post.event_id, str):
         raise ParseError("event must be a string")
+    # JSON allows a lone surrogate ("\ud800"), which UTF-8 cannot encode
+    for name, value in (("id", post.id), ("text", post.text), ("event", post.event_id)):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(f"{name} holds a lone surrogate") from None
     # bool is an int subclass: true would pass a plain ``in (0, 1)``
     if post.label is not None and (type(post.label) is not int
                                    or post.label not in (0, 1)):

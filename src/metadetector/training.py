@@ -84,6 +84,8 @@ class TrainConfig:
             if not 1 <= getattr(self, name) <= high:
                 raise ConfigurationError(
                     f"{name} must be in [1, {high}], got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.k is not None and not self.w_max <= self.k <= MAX_K:
             raise ConfigurationError(
                 f"k must be in [w_max = {self.w_max}, {MAX_K}] when set, got {self.k}")

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 
 from metadetector.cli import main
-from metadetector.text import load_corpus
+from metadetector.model import vocab_hash
+from metadetector.text import Vocabulary, load_corpus
 
 
 def run_cli(capsys, *argv):
@@ -217,6 +218,14 @@ BAD_VECTORS = {"vectors-not-utf8": (b"1 2\n\xff\xfe 0.5 0.5\n", 2),
                "vectors-overflow": (b"1 2\na 0.5 1e400\n", 2)}
 
 
+def _move_pad(arrays, meta):
+    """Swap ``<pad>`` with token 5 and rewrite the hash to match."""
+    tokens = meta["vocab_tokens"]
+    tokens[0], tokens[5] = tokens[5], tokens[0]
+    meta["vocab_hash"] = vocab_hash(Vocabulary({t: i for i, t in enumerate(tokens)},
+                                               meta["vocab_min_count"]))
+
+
 # a saved checkpoint's arrays and metadata, and one change that spoils them
 CHECKPOINT_TAMPERS = {
     "checkpoint-no-meta": lambda arrays, meta: arrays.pop("__meta__"),
@@ -228,7 +237,15 @@ CHECKPOINT_TAMPERS = {
     "checkpoint-k-string": lambda arrays, meta: meta.update(k=str(meta["k"])),
     "checkpoint-vocab-int": lambda arrays, meta: meta.update(vocab_tokens=5),
     "checkpoint-k-huge": lambda arrays, meta: meta.update(k=10**13),
+    "checkpoint-pad-moved": _move_pad,
 }
+
+# a bad command-line argument, and the name its error must give
+BAD_ARGUMENTS = {"mmd-embedding-dim-zero": "embedding_dim",
+                 "weights-top-n-negative": "top_n",
+                 "train-seed-negative": "seed",
+                 "mmd-seed-negative": "seed",
+                 "synth-seed-negative": "seed"}
 
 
 def _write_bad_input(case, d, checkpoint):
@@ -237,10 +254,8 @@ def _write_bad_input(case, d, checkpoint):
     A bad command-line argument writes no file; its "path" is then the name
     the error must give.
     """
-    if case == "mmd-embedding-dim-zero":
-        return "embedding_dim", "mmd-embedding-dim-zero"
-    if case == "weights-top-n-negative":
-        return "top_n", "weights-top-n-negative"
+    if case in BAD_ARGUMENTS:
+        return BAD_ARGUMENTS[case], case
     if case.startswith("vectors-"):
         path = d / "vec.txt"
         path.write_bytes(BAD_VECTORS[case][0])
@@ -255,6 +270,7 @@ def _write_bad_input(case, d, checkpoint):
             "corpus-text-not-string": _jsonl({**GOOD_POST, "text": 5}),
             "corpus-label-bool": _jsonl({**GOOD_POST, "label": True}),
             "corpus-mixed-events": _jsonl({**GOOD_POST, "event": "other"}),
+            "corpus-lone-surrogate": _jsonl({**GOOD_POST, "text": "ok \ud800"}),
         }[case]
         path.write_text(_jsonl(GOOD_POST) + second)
         return path, "corpus"
@@ -273,6 +289,7 @@ def _write_bad_input(case, d, checkpoint):
                              "config-n-filters-huge": '{"n_filters": 1000000000}',
                              "config-w-max-huge": '{"w_max": 1000000000}',
                              "config-w-max-above-k": '{"w_max": 9, "k": 8}',
+                             "config-seed-negative": '{"seed": -3}',
                              "config-embedding-dim-huge":
                                  '{"embedding_dim": 1000000000000}'}[case])
         return path, "config"
@@ -294,7 +311,7 @@ def _write_bad_input(case, d, checkpoint):
 
 
 BAD_INPUTS = ["corpus-missing", "corpus-array-line", "corpus-text-not-string",
-              "corpus-label-bool", "corpus-mixed-events",
+              "corpus-label-bool", "corpus-mixed-events", "corpus-lone-surrogate",
               "checkpoint-missing", "checkpoint-not-npz", "checkpoint-truncated",
               *CHECKPOINT_TAMPERS,
               "config-missing", "config-invalid-json", "config-not-object",
@@ -302,8 +319,7 @@ BAD_INPUTS = ["corpus-missing", "corpus-array-line", "corpus-text-not-string",
               "config-embedding-dim-zero", "config-w-max-zero", "config-lr-nan",
               "config-lambda-infinite", "config-k-above-max", "config-embedding-dim-huge",
               "config-n-filters-huge", "config-w-max-huge", "config-w-max-above-k",
-              "mmd-embedding-dim-zero",
-              "weights-top-n-negative", *BAD_VECTORS]
+              "config-seed-negative", *BAD_ARGUMENTS, *BAD_VECTORS]
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
@@ -320,6 +336,12 @@ def test_bad_input_exits_2_without_traceback(case, capsys, corpora, checkpoint,
                                        "--embedding-dim", "0"],
             "weights-top-n-negative": ["weights", "--checkpoint", checkpoint,
                                        "--corpus", src, "--top-n", "-2"],
+            "train-seed-negative": ["train", "--source", src, "--target", tgt,
+                                    "--out", str(tmp_path / "m.npz"), "--seed", "-1"],
+            "mmd-seed-negative": ["mmd", "--source", src, "--target", tgt, "--seed", "-1"],
+            "synth-seed-negative": ["synth", "--out-source", str(tmp_path / "s.jsonl"),
+                                    "--out-target", str(tmp_path / "t.jsonl"),
+                                    "--seed", "-1"],
             }[kind]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2

@@ -14,10 +14,15 @@ from metadetector.mmd import (
     corpus_representations,
     median_bandwidths,
     mmd_squared,
-    post_representation,
     shift_gate,
 )
-from metadetector.text import EmbeddingTable, build_vocab
+from metadetector.text import (PAD_ID, UNK_ID, EmbeddingTable, EventCorpus, Post, Vocabulary,
+                               build_vocab)
+
+
+def corpus_of(texts):
+    return EventCorpus(event_id="ev", role="source", posts=[
+        Post(id=f"p{i}", text=t, label=1, event_id="ev") for i, t in enumerate(texts)])
 
 
 def naive_mmd_squared(xs, ys, bank):
@@ -34,21 +39,43 @@ def naive_mmd_squared(xs, ys, bank):
 
 
 class TestPostRepresentation:
+    """One post's row of ``corpus_representations``; token ``t<i>`` has id i."""
+
     def setup_method(self):
         self.table = EmbeddingTable.random_init(8, 4, np.random.default_rng(0))
+        self.vocab = Vocabulary({"<pad>": 0, "<unk>": 1,
+                                 **{f"t{i}": i for i in range(2, 8)}}, min_count=1)
+
+    def rep(self, text):
+        return corpus_representations(corpus_of([text]), self.vocab, self.table)[0]
 
     def test_all_pad_is_zero(self):
-        rep = post_representation(np.zeros(5, dtype=np.int64), self.table)
+        rep = self.rep("<pad> " * 5)
         assert np.array_equal(rep, np.zeros(4))
 
     def test_single_token(self):
-        rep = post_representation(np.array([3]), self.table)
+        rep = self.rep("t3")
         assert np.array_equal(rep, self.table.weights.data[3])
 
     def test_two_tokens_average(self):
-        rep = post_representation(np.array([2, 5]), self.table)
+        rep = self.rep("t2 t5")
         expected = (self.table.weights.data[2] + self.table.weights.data[5]) / 2
         assert np.allclose(rep, expected)
+
+    def test_matches_per_post_mean(self):
+        texts = ["", "<pad> <pad>", "<unk> zz qq", "t2 <pad> t4 <unk>",
+                 " ".join(f"t{2 + i % 6}" for i in range(300)), "t7", "yy t3 t3"]
+        rng = np.random.default_rng(1)
+        texts += [" ".join(rng.choice(["t2", "t3", "t6", "<pad>", "xx"], size=n))
+                  for n in rng.integers(0, 60, size=40)]
+        data = self.table.weights.data
+        expected = []
+        for tokens in corpus_of(texts).tokens:
+            ids = np.array([self.vocab.token_to_id.get(t, UNK_ID) for t in tokens], dtype=np.int64)
+            ids = ids[ids != PAD_ID]
+            expected.append(data[ids].mean(axis=0) if len(ids) else np.zeros(4))
+        got = corpus_representations(corpus_of(texts), self.vocab, self.table)
+        assert np.array_equal(got, np.stack(expected))
 
 
 class TestMedianBandwidths:

@@ -24,6 +24,7 @@ from metadetector.text import (
     load_corpus,
     load_pretrained_vectors,
     save_corpus,
+    token_ids,
     tokenize,
 )
 
@@ -98,7 +99,12 @@ OTHER = ("疫情谣言\u4e00\u9fff\u3400\u4dbf\uf900\ufaff\u33ff\ufb00"
          "，。«»—’İßǅ\u0301\u0308")
 
 
-@pytest.mark.parametrize("text", ["«Hello», 疫情。", "İstanbul ǅemal", "ß—ok’ a.b"])
+# one unbroken word of CJK characters and CJK punctuation
+LONG_CJK = "「疫情谣言」，官方辟谣：新冠病毒在武汉传播？！《人民日报》——转发、评论…" * 40
+
+
+@pytest.mark.parametrize("text", ["«Hello», 疫情。", "İstanbul ǅemal", "ß—ok’ a.b",
+                                  pytest.param(LONG_CJK, id="long-cjk-run")])
 def test_tokenize_matches_per_char_reference(text):
     assert tokenize(text) == per_char_tokenize(text)
 
@@ -135,14 +141,43 @@ class TestBuildVocab:
         assert vocab.token_to_id["<pad>"] == PAD_ID
         assert vocab.token_to_id["<unk>"] == UNK_ID
         assert sorted(vocab.token_to_id.values()) == list(range(len(vocab)))
-        assert encode(corpus, vocab, 3)[0].tolist() == [PAD_ID, vocab.id_for("a"), UNK_ID]
+        assert encode(corpus, vocab, 3)[0].tolist() == [PAD_ID, vocab.token_to_id["a"], UNK_ID]
 
     def test_empty_corpora_rejected(self):
         with pytest.raises(ContractError):
             build_vocab([])
 
 
+def per_row_encode(corpus, vocab, k):
+    """The per-row encoder, kept as the reference for ``encode``."""
+    ids = np.full((len(corpus), k), PAD_ID, dtype=np.int64)
+    lookup = vocab.token_to_id.get
+    for row, tokens in zip(ids, corpus.tokens):
+        head = tokens[:k]
+        row[:len(head)] = [lookup(t, UNK_ID) for t in head]
+    return ids
+
+
 class TestEncode:
+    POSTS = ["", "a b c d e f g h", "zzz yyy xxx", "<pad> a <unk> b", "<pad>",
+             "b " * 40, "c a zzz b", "疫情 a 谣言"]
+
+    @pytest.mark.parametrize("k", [1, 3, 8, 50])
+    def test_matches_per_row_reference(self, k):
+        vocab = build_vocab([corpus_of(["a a b c 疫 情"])])
+        corpus = corpus_of(self.POSTS)
+        got = encode(corpus, vocab, k)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, per_row_encode(corpus, vocab, k))
+
+    def test_token_ids_without_k_keeps_every_token(self):
+        vocab = build_vocab([corpus_of(["a b"])])
+        corpus = corpus_of(self.POSTS)
+        ids, lengths = token_ids(corpus, vocab)
+        assert lengths.tolist() == [len(t) for t in corpus.tokens]
+        lookup = vocab.token_to_id.get
+        assert ids.tolist() == [lookup(t, UNK_ID) for tokens in corpus.tokens for t in tokens]
+
     def test_padding(self):
         vocab = build_vocab([corpus_of(["a b"])])
         ids = encode(corpus_of(["a b"]), vocab, 4)[0]
