@@ -385,15 +385,14 @@ def text_cnn(table: Tensor, ids: np.ndarray, filters: Sequence[Tensor],
 # -- stochastic / structural nodes -------------------------------------------
 
 
-def dropout(x: Tensor, rate: float, training: bool,
+def dropout(x: Tensor, rate: float,
             rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-rate); identity at inference."""
+    """Inverted dropout: survivors scaled by 1/(1-rate); the identity without
+    an ``rng`` (inference) or at rate 0."""
     if not 0.0 <= rate < 1.0:
         raise ConfigurationError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
-    if rng is None:
-        raise ConfigurationError("training-mode dropout requires an rng")
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
     return _op(x.data * mask, (x,), lambda g: (g * mask,))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -86,9 +87,7 @@ def _cmd_synth(args) -> int:
                      fake_ratio=args.fake_ratio, post_length=args.post_length,
                      seed=args.seed)
     source, target = generate(spec)
-    if args.anomaly_fraction > 0:
-        source = inject_anomalies(source, args.anomaly_fraction,
-                                  seed=args.seed + 1, spec=spec)
+    source = inject_anomalies(source, args.anomaly_fraction, seed=args.seed + 1, spec=spec)
     save_corpus(source, args.out_source)
     save_corpus(target, args.out_target)
     print(json.dumps({"n_source": len(source), "n_target": len(target),
@@ -120,7 +119,21 @@ def _cmd_train(args) -> int:
 
     source = load_corpus(args.source, role="source")
     target = load_corpus(args.target, role="target")
-    params, history, shift = train(source, target, config)
+    # the outputs are opened first, so a path that cannot be written costs no
+    # training run; the checkpoint path takes the suffix np.savez appends
+    out = args.out if args.out.endswith(".npz") else args.out + ".npz"
+    created = []
+    try:
+        for path in filter(None, (out, args.history)):
+            existed = os.path.exists(path)
+            open(path, "ab").close()
+            if not existed:
+                created.append(path)
+        params, history, shift = train(source, target, config)
+    except BaseException:
+        for path in created:
+            os.remove(path)
+        raise
     save_checkpoint(params, args.out)
     if args.history:
         history_to_csv(history, args.history)

@@ -85,8 +85,7 @@ def metrics_from_predictions(predictions: np.ndarray,
 def forward(params: ModelParams, ids: np.ndarray):
     """Extractor features of an (n, k) id matrix, FORWARD_CHUNK rows at a time, dropout off."""
     for start in range(0, len(ids), FORWARD_CHUNK):
-        yield extract_features(ids[start:start + FORWARD_CHUNK], params.theta_f,
-                               training=False)
+        yield extract_features(ids[start:start + FORWARD_CHUNK], params.theta_f)
 
 
 def _forward_chunks(params: ModelParams, corpus: EventCorpus):

@@ -13,8 +13,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .autodiff import Tensor
 from .errors import DegenerateDataError, SampleSizeError
-from .text import PAD_ID, EmbeddingTable, EventCorpus, Vocabulary, token_ids
+from .text import PAD_ID, EventCorpus, Vocabulary, token_ids
 
 N_KERNELS = 7
 # Rows of the pooled distance matrix that the shift gate holds at a time.
@@ -74,7 +75,7 @@ def median_bandwidths(pairwise_sq_dists: np.ndarray) -> KernelBank:
 
 
 def corpus_representations(corpus: EventCorpus, vocab: Vocabulary,
-                           table: EmbeddingTable) -> np.ndarray:
+                           table: Tensor) -> np.ndarray:
     """Each post's mean embedding of its non-PAD tokens (all, not the first k);
     zeros for a post with none. One ``bincount`` per column sums in token
     order, as ``table[ids].mean(axis=0)`` does, so each mean is the same float."""
@@ -83,7 +84,7 @@ def corpus_representations(corpus: EventCorpus, vocab: Vocabulary,
     keep = ids != PAD_ID
     ids, posts = ids[keep], posts[keep]
     counts = np.maximum(np.bincount(posts, minlength=len(corpus)), 1)
-    sums = [np.bincount(posts, col[ids], len(corpus)) for col in table.weights.data.T]
+    sums = [np.bincount(posts, col[ids], len(corpus)) for col in table.data.T]
     return np.stack(sums, axis=1) / counts[:, None]
 
 
@@ -145,8 +146,7 @@ def _gate_median(pooled: np.ndarray) -> float:
     return float((kept[ranks[0] - below] + kept[ranks[1] - below]) / 2.0)
 
 
-def mmd_squared(xs: np.ndarray, ys: np.ndarray, bank: KernelBank,
-                allow_small: bool = False) -> float:
+def mmd_squared(xs: np.ndarray, ys: np.ndarray, bank: KernelBank) -> float:
     """Biased V-statistic estimate of squared MMD under the kernel mixture.
 
     Sums over the pairs i < j of the pooled, centred samples, a block of
@@ -159,10 +159,9 @@ def mmd_squared(xs: np.ndarray, ys: np.ndarray, bank: KernelBank,
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
-    least = 1 if allow_small else 2
-    if len(xs) < least or len(ys) < least:
+    if len(xs) < 2 or len(ys) < 2:
         raise SampleSizeError(
-            f"need at least {least} samples per side, got {len(xs)} and {len(ys)}")
+            f"need at least 2 samples per side, got {len(xs)} and {len(ys)}")
     if (len(ys), ys.tobytes()) < (len(xs), xs.tobytes()):
         xs, ys = ys, xs
     n_x, n_y, n_k = len(xs), len(ys), len(bank.sq_bandwidths)
@@ -188,7 +187,7 @@ def mmd_squared(xs: np.ndarray, ys: np.ndarray, bank: KernelBank,
 
 
 def shift_gate(source: EventCorpus, target: EventCorpus, vocab: Vocabulary,
-               table: EmbeddingTable, d_star: float = 0.8) -> ShiftReport:
+               table: Tensor, d_star: float = 0.8) -> ShiftReport:
     """Distance d_k = sqrt(max(0, MMD^2)) over post representations; gate on d_k >= d*.
 
     The bank is the median heuristic over distinct pairs of the pooled
@@ -198,9 +197,6 @@ def shift_gate(source: EventCorpus, target: EventCorpus, vocab: Vocabulary,
     """
     xs = corpus_representations(source, vocab, table)
     ys = corpus_representations(target, vocab, table)
-    if len(xs) < 2 or len(ys) < 2:
-        raise SampleSizeError(
-            f"need at least 2 samples per side, got {len(xs)} and {len(ys)}")
     bank = _median_bank(_gate_median(np.concatenate([xs, ys], axis=0)))
     d_k = float(np.sqrt(max(0.0, mmd_squared(xs, ys, bank))))
     return ShiftReport(d_k=d_k, d_star=d_star, gate_open=d_k >= d_star,

@@ -24,7 +24,7 @@ from .autodiff import (
     text_cnn,
 )
 from .errors import CheckpointError
-from .text import MAX_K, PAD_TOKEN, UNK_TOKEN, EmbeddingTable, Vocabulary
+from .text import MAX_K, PAD_TOKEN, UNK_TOKEN, Vocabulary
 
 FEATURE_DIM = 32
 DISC_HIDDEN = 32
@@ -46,7 +46,7 @@ class FeatureExtractorParams:
     conv_biases: list[Tensor]   # (n_c,)
     w_fc: Tensor                # (FEATURE_DIM, w_max * n_c)
     b_fc: Tensor                # (FEATURE_DIM,)
-    embedding: EmbeddingTable
+    embedding: Tensor           # (|V|, d), PAD row zero; trained iff requires_grad
 
     @property
     def w_max(self) -> int:
@@ -58,8 +58,8 @@ class FeatureExtractorParams:
 
     def tensors(self) -> list[Tensor]:
         out = list(self.filters) + list(self.conv_biases) + [self.w_fc, self.b_fc]
-        if self.embedding.trainable:
-            out.append(self.embedding.weights)
+        if self.embedding.requires_grad:
+            out.append(self.embedding)
         return out
 
 
@@ -111,14 +111,13 @@ def init_discriminator(rng: np.random.Generator, in_dim: int = FEATURE_DIM,
                                  for _, shape in _disc_shapes(in_dim, hidden)))
 
 
-def init_model(vocab: Vocabulary, table: EmbeddingTable, k: int, seed: int,
-               n_filters: int = 20, w_max: int = 4,
+def init_model(vocab: Vocabulary, table: Tensor, k: int, seed: int,
+               n_filters: int, w_max: int,
                config_snapshot: Optional[dict] = None) -> ModelParams:
     """A fresh model around ``table``; arrays are drawn in layout order."""
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     tensors = {name: _init_array(rng, shape)
-               for name, shape in _array_shapes(table.vocab_size, table.dim,
-                                                 w_max, n_filters)
+               for name, shape in _array_shapes(*table.shape, w_max, n_filters)
                if name != "embedding"}
     return _assemble(tensors, table, vocab, k, seed, dict(config_snapshot or {}))
 
@@ -128,14 +127,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def extract_features(ids: np.ndarray, theta_f: FeatureExtractorParams,
-                     training: bool = False,
                      rng: Optional[np.random.Generator] = None,
                      dropout_rate: float = 0.0) -> Tensor:
     """Text-CNN features of a ``(B, k)`` id matrix: embed, conv per window,
-    max-pool (one fused op), dropout, relu(fc)."""
-    c_temp = text_cnn(theta_f.embedding.weights, ids,
-                      theta_f.filters, theta_f.conv_biases)
-    c_temp = dropout(c_temp, dropout_rate, training, rng)
+    max-pool (one fused op), dropout (iff ``rng`` is given), relu(fc)."""
+    c_temp = text_cnn(theta_f.embedding, ids, theta_f.filters, theta_f.conv_biases)
+    c_temp = dropout(c_temp, dropout_rate, rng)
     return relu(linear(c_temp, theta_f.w_fc, theta_f.b_fc))
 
 
@@ -180,10 +177,9 @@ def named_tensors(params: ModelParams) -> dict[str, Tensor]:
     the inverse of :func:`_assemble`."""
     f = params.theta_f
     tensors = [t for pair in zip(f.filters, f.conv_biases) for t in pair]
-    tensors += [f.w_fc, f.b_fc, f.embedding.weights, *params.theta_y.tensors(),
+    tensors += [f.w_fc, f.b_fc, f.embedding, *params.theta_y.tensors(),
                 *params.theta_e.tensors(), *params.theta_pe.tensors()]
-    names = [name for name, _ in _array_shapes(f.embedding.vocab_size, f.embedding.dim,
-                                               f.w_max, f.n_filters)]
+    names = [name for name, _ in _array_shapes(*f.embedding.shape, f.w_max, f.n_filters)]
     return dict(zip(names, tensors, strict=True))
 
 
@@ -198,7 +194,7 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
         "k": params.k,
         "w_max": params.theta_f.w_max,
         "n_filters": params.theta_f.n_filters,
-        "embedding_trainable": params.theta_f.embedding.trainable,
+        "embedding_trainable": params.theta_f.embedding.requires_grad,
         "vocab_tokens": params.vocab.tokens_by_id,
         "vocab_min_count": params.vocab.min_count,
         "vocab_hash": vocab_hash(params.vocab),
@@ -225,7 +221,7 @@ def _array_shapes(n_vocab: int, d: int, w_max: int, n_filters: int):
             yield f"{head}_{part}", shape
 
 
-def _assemble(tensors: dict[str, Tensor], table: EmbeddingTable, vocab: Vocabulary,
+def _assemble(tensors: dict[str, Tensor], table: Tensor, vocab: Vocabulary,
               k: int, seed: int, config: dict) -> ModelParams:
     """The model whose parameters ``tensors`` holds under their
     :func:`_array_shapes` names, around the embedding ``table``."""
@@ -322,5 +318,5 @@ def _read_checkpoint(path: str) -> ModelParams:
                 tensors[name] = Tensor(a, requires_grad=True)
     # built from the arrays, not through init_model: scoring then never
     # creates a random generator, whose import costs about 2 MB of RSS
-    table = EmbeddingTable(Tensor(emb), trainable=meta["embedding_trainable"])
+    table = Tensor(emb, requires_grad=meta["embedding_trainable"])
     return _assemble(tensors, table, vocab, meta["k"], meta["seed"], meta["config"])

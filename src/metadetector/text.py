@@ -163,48 +163,30 @@ def encode(corpus: EventCorpus, vocab: Vocabulary, k: int) -> np.ndarray:
     return out
 
 
-def choose_k(corpora: Iterable[EventCorpus], quantile: float = 0.95) -> int:
-    """Smallest length covering the given quantile of post lengths, in [4, MAX_K]."""
+def choose_k(corpora: Iterable[EventCorpus]) -> int:
+    """Smallest length covering 95% of post lengths, in [4, MAX_K]."""
     lengths = sorted(len(tokens) for corpus in corpora for tokens in corpus.tokens)
     if not lengths:
         raise ContractError("choose_k requires non-empty corpora")
-    idx = max(0, math.ceil(quantile * len(lengths)) - 1)
+    idx = max(0, math.ceil(0.95 * len(lengths)) - 1)
     return min(MAX_K, max(4, lengths[idx]))
 
 
-@dataclass
-class EmbeddingTable:
-    weights: Tensor  # |V| x d; row 0 (PAD) all-zeros
-    trainable: bool = True
-
-    def __post_init__(self):
-        self.weights.requires_grad = self.trainable
-
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def vocab_size(self) -> int:
-        return self.weights.shape[0]
-
-    @classmethod
-    def random_init(cls, vocab_size: int, dim: int, rng: np.random.Generator,
-                    trainable: bool = True) -> "EmbeddingTable":
-        scale = 0.25 / math.sqrt(dim)
-        w = rng.uniform(-scale, scale, size=(vocab_size, dim))
-        w[PAD_ID] = 0.0
-        return cls(weights=Tensor(w, requires_grad=trainable), trainable=trainable)
+def random_table(vocab_size: int, dim: int, rng: np.random.Generator) -> Tensor:
+    """A |V| x d embedding table drawn uniform in +-0.25/sqrt(d); row 0 (PAD) is zero."""
+    scale = 0.25 / math.sqrt(dim)
+    w = rng.uniform(-scale, scale, size=(vocab_size, dim))
+    w[PAD_ID] = 0.0
+    return Tensor(w, requires_grad=True)
 
 
-def embed(ids: np.ndarray, table: EmbeddingTable) -> Tensor:
+def embed(ids: np.ndarray, table: Tensor) -> Tensor:
     """Columns are the embeddings of ``ids``; shape (d, k) or (B, d, k)."""
-    return embedding_lookup(table.weights, ids)
+    return embedding_lookup(table, ids)
 
 
 def load_pretrained_vectors(path: str, vocab: Vocabulary,
-                            rng: np.random.Generator,
-                            trainable: bool = True) -> EmbeddingTable:
+                            rng: np.random.Generator) -> Tensor:
     """Textual word2vec format: header "N d", then lines "token v1 .. vd".
 
     Vocabulary tokens found in the file take the file vectors; the rest are
@@ -224,7 +206,7 @@ def load_pretrained_vectors(path: str, vocab: Vocabulary,
             if n < 0 or not 1 <= dim <= MAX_DIM:
                 raise ParseError(
                     f"header needs N >= 0 and 1 <= d <= {MAX_DIM}, got {header.strip()!r}")
-            table = EmbeddingTable.random_init(len(vocab), dim, rng, trainable=trainable)
+            table = random_table(len(vocab), dim, rng)
             for lineno in range(2, n + 2):
                 raw = fh.readline()
                 if not raw:
@@ -242,10 +224,10 @@ def load_pretrained_vectors(path: str, vocab: Vocabulary,
                     raise ParseError("non-finite vector component")
                 idx = vocab.token_to_id.get(token)
                 if idx is not None and idx != PAD_ID:
-                    table.weights.data[idx] = vec
+                    table.data[idx] = vec
         except ParseError as exc:
             raise ParseError(f"{path}, line {lineno}: {exc}") from None
-    table.weights.data[PAD_ID] = 0.0
+    table.data[PAD_ID] = 0.0
     return table
 
 

@@ -33,13 +33,13 @@ from .text import (
     MAX_DIM,
     MAX_FILTERS,
     MAX_K,
-    EmbeddingTable,
     EventCorpus,
     Vocabulary,
     build_vocab,
     choose_k,
     encode,
     load_pretrained_vectors,
+    random_table,
 )
 
 WEIGHTING_MODES = ("auto", "always_on", "always_off")
@@ -259,7 +259,7 @@ def _seed_streams(seed: int) -> list[np.random.Generator]:
 
 
 def prepare(source: EventCorpus, target: EventCorpus, config: TrainConfig
-            ) -> tuple[Vocabulary, int, EmbeddingTable, ShiftReport]:
+            ) -> tuple[Vocabulary, int, Tensor, ShiftReport]:
     """The vocabulary, sequence length, embedding table and shift gate of a run.
 
     A window size ``w_max`` above the sequence length is refused before the
@@ -274,13 +274,11 @@ def prepare(source: EventCorpus, target: EventCorpus, config: TrainConfig
         raise ConfigurationError(
             f"w_max = {config.w_max} exceeds the sequence length k = {k}")
     emb_rng = _seed_streams(config.seed)[2]
-    trainable = not config.freeze_embeddings
     if config.pretrained_vectors:
-        table = load_pretrained_vectors(config.pretrained_vectors, vocab, emb_rng,
-                                        trainable=trainable)
+        table = load_pretrained_vectors(config.pretrained_vectors, vocab, emb_rng)
     else:
-        table = EmbeddingTable.random_init(len(vocab), config.embedding_dim, emb_rng,
-                                           trainable=trainable)
+        table = random_table(len(vocab), config.embedding_dim, emb_rng)
+    table.requires_grad = not config.freeze_embeddings
     shift = shift_gate(source, target, vocab, table, d_star=config.d_star)
     return vocab, k, table, shift
 
@@ -322,7 +320,7 @@ def train(source: EventCorpus, target: EventCorpus,
             # (2 * half) rows equals a source draw followed by a target draw
             feats = extract_features(
                 np.concatenate([ids_s[src_idx], ids_t[tgt_idx]]), params.theta_f,
-                training=True, rng=drop_rng, dropout_rate=config.dropout)
+                rng=drop_rng, dropout_rate=config.dropout)
             feats_s, feats_t = split_rows(feats, len(src_idx))
 
             pe_s = pseudo_discriminate(feats_s, params.theta_pe)

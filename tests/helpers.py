@@ -13,7 +13,7 @@ from metadetector.model import (
     init_model,
     pseudo_discriminate,
 )
-from metadetector.text import EmbeddingTable, Vocabulary
+from metadetector.text import Vocabulary, random_table
 from metadetector.training import (
     loss_detection_weighted,
     loss_event_weighted,
@@ -56,14 +56,13 @@ def tiny_vocab(size: int) -> Vocabulary:
 def build_tiny_model(vocab_size=50, dim=8, k=12, n_filters=4, w_max=3,
                      seed=7) -> ModelParams:
     vocab = tiny_vocab(vocab_size)
-    table = EmbeddingTable.random_init(vocab_size, dim,
-                                       np.random.default_rng(seed))
+    table = random_table(vocab_size, dim, np.random.default_rng(seed))
     return init_model(vocab, table, k, seed, n_filters=n_filters, w_max=w_max)
 
 
 def random_batch(params: ModelParams, b_s=3, b_t=3, seed=11):
     rng = np.random.default_rng(seed)
-    vs = params.theta_f.embedding.vocab_size
+    vs = params.theta_f.embedding.shape[0]
     ids_s = rng.integers(1, vs, size=(b_s, params.k))
     ids_t = rng.integers(1, vs, size=(b_t, params.k))
     y_s = rng.integers(0, 2, size=b_s)

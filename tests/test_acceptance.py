@@ -46,7 +46,7 @@ from metadetector.model import (
     init_discriminator,
     pseudo_discriminate,
 )
-from metadetector.text import EmbeddingTable, build_vocab
+from metadetector.text import build_vocab, random_table
 from metadetector.training import (
     TrainConfig,
     compute_weights,
@@ -199,8 +199,7 @@ def test_criterion_05_mmd_oracle():
                          post_length=20, seed=4)
         source, target = generate(spec)
         vocab = build_vocab([source, target])
-        table = EmbeddingTable.random_init(len(vocab), 16,
-                                           np.random.default_rng(4))
+        table = random_table(len(vocab), 16, np.random.default_rng(4))
         distances.append(shift_gate(source, target, vocab, table).d_k)
     monotone = all(u < v for u, v in zip(distances, distances[1:]))
 
@@ -229,7 +228,7 @@ def test_criterion_06_weighting_laws():
                      seed=2)
     source, target = generate(spec)
     vocab = build_vocab([source, target])
-    table = EmbeddingTable.random_init(len(vocab), 16, np.random.default_rng(2))
+    table = random_table(len(vocab), 16, np.random.default_rng(2))
     rep = shift_gate(source, target, vocab, table, d_star=0.8)
     gate_matches = rep.gate_open == (rep.d_k >= 0.8)
 

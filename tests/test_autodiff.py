@@ -154,23 +154,21 @@ class TestMaxPool:
 class TestDropout:
     def test_inference_passthrough(self):
         x = Tensor([1.0, 2.0])
-        out = dropout(x, 0.5, training=False)
+        out = dropout(x, 0.5)
         assert out.data is x.data
 
     def test_rate_zero_identity(self):
         x = Tensor([1.0, 2.0])
-        assert dropout(x, 0.0, training=True,
-                       rng=np.random.default_rng(0)).data is x.data
+        assert dropout(x, 0.0, rng=np.random.default_rng(0)).data is x.data
 
     def test_invalid_rate(self):
         with pytest.raises(ConfigurationError):
-            dropout(Tensor([1.0]), 1.0, training=True,
-                    rng=np.random.default_rng(0))
+            dropout(Tensor([1.0]), 1.0, rng=np.random.default_rng(0))
 
     def test_survivor_fraction_and_mean(self):
         rng = np.random.default_rng(42)
         x = Tensor(np.ones(100_000))
-        out = dropout(x, 0.2, training=True, rng=rng)
+        out = dropout(x, 0.2, rng=rng)
         survivors = (out.data != 0).mean()
         assert abs(survivors - 0.8) < 0.01
         assert abs(out.data.mean() - 1.0) < 0.02
@@ -252,7 +250,7 @@ class TestDeterminism:
             rng = np.random.default_rng(9)
             x = Tensor(np.random.default_rng(1).normal(size=(5, 8)),
                        requires_grad=True)
-            out = dropout(relu(x), 0.3, training=True, rng=rng).sum()
+            out = dropout(relu(x), 0.3, rng=rng).sum()
             backward(out)
             return out.data.copy(), x.grad.copy()
 
@@ -476,13 +474,12 @@ class TestPrunedBackward:
         def grads(trainable_table):
             params = build_tiny_model()
             table = params.theta_f.embedding
-            table.trainable = table.weights.requires_grad = trainable_table
+            table.requires_grad = trainable_table
             ids_s, y_s, ids_t = random_batch(params)
             calls.clear()
             g = analytic_model_grads(params, ids_s, y_s, ids_t, lam=0.5, mu=0.7,
                                      weights=np.full(len(ids_s), 0.6))
-            others = [t for t in params.trainable_tensors()
-                      if t is not table.weights]
+            others = [t for t in params.trainable_tensors() if t is not table]
             return [g[id(t)] for t in others], len(calls)
 
         trained, trained_calls = grads(True)

@@ -182,6 +182,51 @@ def test_reserved_token_spellings_in_posts(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("unwritable", ["out", "history"])
+def test_train_refuses_an_unwritable_output_before_training(unwritable, capsys, corpora,
+                                                           tmp_path, monkeypatch):
+    from metadetector import cli
+
+    def no_train(*args, **kwargs):
+        raise AssertionError("train ran")
+
+    monkeypatch.setattr(cli, "train", no_train)
+    src, tgt = corpora
+    paths = {"out": str(tmp_path / "m.npz"), "history": str(tmp_path / "h.csv")}
+    paths[unwritable] = str(tmp_path / "missing" / "x")
+    code, _, err = run_cli(capsys, "train", "--source", src, "--target", tgt,
+                           "--out", paths["out"], "--history", paths["history"])
+    assert code == 2 and paths[unwritable] in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_checkpoint_takes_the_npz_suffix(capsys, corpora, tmp_path):
+    src, tgt = corpora
+    code, _, _ = run_cli(capsys, "train", "--source", src, "--target", tgt,
+                         "--out", str(tmp_path / "m"), "--epochs", "1", "--batch-size", "20")
+    assert code == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["m.npz"]
+
+
+def test_failed_training_removes_only_the_outputs_it_created(capsys, corpora, tmp_path,
+                                                             monkeypatch):
+    from metadetector import cli
+    from metadetector.errors import NumericalError
+
+    def failing_train(*args, **kwargs):
+        raise NumericalError("non-finite detection loss at epoch 1")
+
+    monkeypatch.setattr(cli, "train", failing_train)
+    src, tgt = corpora
+    history = tmp_path / "h.csv"
+    history.write_text("earlier run\n")
+    code, _, err = run_cli(capsys, "train", "--source", src, "--target", tgt,
+                           "--out", str(tmp_path / "m"), "--history", str(history))
+    assert code == 2 and "non-finite" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["h.csv"]
+    assert history.read_text() == "earlier run\n"
+
+
 GOOD_POST = {"id": "p0", "text": "some words here", "label": 1, "event": "ev"}
 
 
@@ -245,7 +290,8 @@ BAD_ARGUMENTS = {"mmd-embedding-dim-zero": "embedding_dim",
                  "weights-top-n-negative": "top_n",
                  "train-seed-negative": "seed",
                  "mmd-seed-negative": "seed",
-                 "synth-seed-negative": "seed"}
+                 "synth-seed-negative": "seed",
+                 "synth-anomaly-nan": "anomaly fraction"}
 
 
 def _write_bad_input(case, d, checkpoint):
@@ -342,6 +388,9 @@ def test_bad_input_exits_2_without_traceback(case, capsys, corpora, checkpoint,
             "synth-seed-negative": ["synth", "--out-source", str(tmp_path / "s.jsonl"),
                                     "--out-target", str(tmp_path / "t.jsonl"),
                                     "--seed", "-1"],
+            "synth-anomaly-nan": ["synth", "--out-source", str(tmp_path / "s.jsonl"),
+                                  "--out-target", str(tmp_path / "t.jsonl"),
+                                  "--anomaly-fraction", "nan"],
             }[kind]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2

@@ -4,13 +4,12 @@ import pytest
 from metadetector.data_synth import SynthSpec, generate, inject_anomalies
 from metadetector.errors import ConfigurationError
 from metadetector.mmd import shift_gate
-from metadetector.text import EmbeddingTable, build_vocab, tokenize
+from metadetector.text import build_vocab, random_table, tokenize
 
 
 def gate_distance(source, target, seed=0, dim=8):
     vocab = build_vocab([source, target])
-    table = EmbeddingTable.random_init(len(vocab), dim,
-                                       np.random.default_rng(seed))
+    table = random_table(len(vocab), dim, np.random.default_rng(seed))
     return shift_gate(source, target, vocab, table, d_star=0.8)
 
 

@@ -16,8 +16,8 @@ from metadetector.mmd import (
     mmd_squared,
     shift_gate,
 )
-from metadetector.text import (PAD_ID, UNK_ID, EmbeddingTable, EventCorpus, Post, Vocabulary,
-                               build_vocab)
+from metadetector.text import (PAD_ID, UNK_ID, EventCorpus, Post, Vocabulary, build_vocab,
+                               random_table)
 
 
 def corpus_of(texts):
@@ -42,7 +42,7 @@ class TestPostRepresentation:
     """One post's row of ``corpus_representations``; token ``t<i>`` has id i."""
 
     def setup_method(self):
-        self.table = EmbeddingTable.random_init(8, 4, np.random.default_rng(0))
+        self.table = random_table(8, 4, np.random.default_rng(0))
         self.vocab = Vocabulary({"<pad>": 0, "<unk>": 1,
                                  **{f"t{i}": i for i in range(2, 8)}}, min_count=1)
 
@@ -55,11 +55,11 @@ class TestPostRepresentation:
 
     def test_single_token(self):
         rep = self.rep("t3")
-        assert np.array_equal(rep, self.table.weights.data[3])
+        assert np.array_equal(rep, self.table.data[3])
 
     def test_two_tokens_average(self):
         rep = self.rep("t2 t5")
-        expected = (self.table.weights.data[2] + self.table.weights.data[5]) / 2
+        expected = (self.table.data[2] + self.table.data[5]) / 2
         assert np.allclose(rep, expected)
 
     def test_matches_per_post_mean(self):
@@ -68,7 +68,7 @@ class TestPostRepresentation:
         rng = np.random.default_rng(1)
         texts += [" ".join(rng.choice(["t2", "t3", "t6", "<pad>", "xx"], size=n))
                   for n in rng.integers(0, 60, size=40)]
-        data = self.table.weights.data
+        data = self.table.data
         expected = []
         for tokens in corpus_of(texts).tokens:
             ids = np.array([self.vocab.token_to_id.get(t, UNK_ID) for t in tokens], dtype=np.int64)
@@ -101,16 +101,13 @@ class TestMmdSquared:
 
     def test_two_point_analytic_value(self):
         bank = KernelBank(np.array([1.0]))
-        got = mmd_squared(np.array([[0.0]]), np.array([[1.0]]), bank,
-                          allow_small=True)
+        got = mmd_squared(np.array([[0.0], [0.0]]), np.array([[1.0], [1.0]]), bank)
         assert got == pytest.approx(2.0 - 2.0 * math.exp(-0.5), abs=1e-12)
 
     def test_small_sample_rejected(self):
         bank = KernelBank(np.array([1.0]))
         with pytest.raises(SampleSizeError):
             mmd_squared(np.array([[0.0]]), np.array([[1.0]]), bank)
-        with pytest.raises(SampleSizeError):
-            mmd_squared(np.zeros((0, 1)), np.array([[1.0]]), bank, allow_small=True)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(2)
@@ -192,7 +189,7 @@ class TestShiftGate:
         spec = SynthSpec(n_source=60, n_target=60, post_length=10, seed=5)
         source, _ = generate(spec)
         vocab = build_vocab([source])
-        table = EmbeddingTable.random_init(len(vocab), 8, np.random.default_rng(0))
+        table = random_table(len(vocab), 8, np.random.default_rng(0))
         report = shift_gate(source, source, vocab, table, d_star=0.8)
         assert report.d_k < 1e-6
         assert not report.gate_open
@@ -201,7 +198,7 @@ class TestShiftGate:
         spec = SynthSpec(n_source=60, n_target=60, shift=0.9, post_length=10, seed=5)
         source, target = generate(spec)
         vocab = build_vocab([source, target])
-        table = EmbeddingTable.random_init(len(vocab), 8, np.random.default_rng(0))
+        table = random_table(len(vocab), 8, np.random.default_rng(0))
         report = shift_gate(source, target, vocab, table, d_star=0.8)
         assert report.gate_open == (report.d_k >= 0.8)
         assert report.d_star == 0.8
@@ -222,8 +219,7 @@ class TestBlockedGate:
                 dataclasses.replace(p, event_id=target.event_id)
                 for p in source.posts[2:2 + duplicates]]
         vocab = build_vocab([source, target])
-        table = EmbeddingTable.random_init(len(vocab), dim,
-                                           np.random.default_rng(0))
+        table = random_table(len(vocab), dim, np.random.default_rng(0))
         reps = np.concatenate([corpus_representations(c, vocab, table)
                                for c in (source, target)])
         return source, target, vocab, table, reps

@@ -7,7 +7,6 @@ from metadetector import text
 from metadetector.autodiff import Tensor, backward
 from metadetector.data_synth import SynthSpec, generate
 from metadetector.errors import ConfigurationError, ContractError, NumericalError
-from metadetector.model import init_discriminator, _discriminator_head
 from metadetector.training import (
     TrainConfig,
     compute_weights,
@@ -209,25 +208,6 @@ class TestSgdStep:
         assert t.data[0] == 2.0
 
 
-class TestOptimalDiscriminator:
-    def test_converges_to_density_ratio(self):
-        # frozen 1-D features: value a has source mass 0.8, target mass 0.4;
-        # the trained head must output p_s / (p_s + p_t) = 2/3 at a
-        rng = np.random.default_rng(0)
-        disc = init_discriminator(rng, in_dim=1, hidden=8)
-        a, b = 1.0, -1.0
-        src = Tensor(np.array([[a]] * 8 + [[b]] * 2))   # mass 0.8 / 0.2
-        tgt = Tensor(np.array([[a]] * 4 + [[b]] * 6))   # mass 0.4 / 0.6
-        ones = np.ones(src.shape[0])
-        for _ in range(2000):
-            loss = loss_event_weighted(_discriminator_head(src, disc),
-                                       _discriminator_head(tgt, disc), ones)
-            backward(loss)
-            sgd_step(disc.tensors(), lr=0.5)
-        out_a = _discriminator_head(Tensor(np.array([[a]])), disc).item()
-        assert out_a == pytest.approx(2.0 / 3.0, abs=0.05)
-
-
 @pytest.fixture(scope="module")
 def run():
     spec = SynthSpec(n_source=150, n_target=150, shift=0.2,
@@ -297,6 +277,31 @@ class TestTrain:
                                               n_filters=4))
         after = _array_map(seen["params"])
         assert all(np.array_equal(after[n], a) for n, a in seen["before"].items())
+
+    @pytest.mark.parametrize("frozen", [True, False])
+    def test_freeze_embeddings_keeps_the_prepared_table(self, frozen, tmp_path):
+        from metadetector.model import load_checkpoint, save_checkpoint
+        from metadetector.training import prepare
+
+        spec = SynthSpec(n_source=60, n_target=60, post_length=8, seed=4)
+        source, target = generate(spec)
+        tokens = sorted({t for c in (source, target) for post in c.tokens for t in post})
+        vectors = tmp_path / "vectors.txt"
+        rng = np.random.default_rng(5)
+        vectors.write_text(f"{len(tokens) // 2} 6\n" + "".join(
+            tok + " " + " ".join(map(repr, rng.normal(size=6).tolist())) + "\n"
+            for tok in tokens[::2]))
+        cfg = TrainConfig(epochs=2, batch_size=20, n_filters=4, w_max=3, seed=6,
+                          pretrained_vectors=str(vectors), freeze_embeddings=frozen)
+        prepared = prepare(source, target, cfg)[2].data
+        params, _, _ = train(source, target, cfg)
+        trained = params.theta_f.embedding.data
+        assert np.array_equal(trained, prepared) == frozen
+        ckpt = str(tmp_path / "model.npz")
+        save_checkpoint(params, ckpt)
+        loaded = load_checkpoint(ckpt).theta_f.embedding
+        assert loaded.requires_grad == (not frozen)
+        assert np.array_equal(loaded.data, trained)
 
     def test_history_csv(self, run, tmp_path):
         _, history, _ = run
