@@ -120,7 +120,8 @@ def _cmd_train(args) -> int:
     source = load_corpus(args.source, role="source")
     target = load_corpus(args.target, role="target")
     # the outputs are opened first, so a path that cannot be written costs no
-    # training run; the checkpoint path takes the suffix np.savez appends
+    # training run, and a run that fails before both are written removes the
+    # files it created; the checkpoint path takes the suffix np.savez appends
     out = args.out if args.out.endswith(".npz") else args.out + ".npz"
     created = []
     try:
@@ -130,13 +131,13 @@ def _cmd_train(args) -> int:
             if not existed:
                 created.append(path)
         params, history, shift = train(source, target, config)
+        save_checkpoint(params, out)
+        if args.history:
+            history_to_csv(history, args.history)
     except BaseException:
         for path in created:
             os.remove(path)
         raise
-    save_checkpoint(params, args.out)
-    if args.history:
-        history_to_csv(history, args.history)
     last = history[-1]
     print(json.dumps({
         "checkpoint": args.out,

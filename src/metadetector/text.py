@@ -185,12 +185,21 @@ def embed(ids: np.ndarray, table: Tensor) -> Tensor:
     return embedding_lookup(table, ids)
 
 
-def load_pretrained_vectors(path: str, vocab: Vocabulary,
-                            rng: np.random.Generator) -> Tensor:
+class _PretrainedTable(Tensor):
+    """A Tensor whose ``weights`` is itself, for callers of the earlier wrapper."""
+
+    @property
+    def weights(self) -> Tensor:
+        return self
+
+
+def load_pretrained_vectors(path: str, vocab: Vocabulary, rng: np.random.Generator,
+                            trainable: bool = True) -> Tensor:
     """Textual word2vec format: header "N d", then lines "token v1 .. vd".
 
     Vocabulary tokens found in the file take the file vectors; the rest are
     random-initialized; PAD is forced to zero. Errors name ``path, line N``.
+    ``trainable`` is the table's ``requires_grad``.
     """
     lineno = 1
     with open(path, "rb") as fh:
@@ -206,7 +215,7 @@ def load_pretrained_vectors(path: str, vocab: Vocabulary,
             if n < 0 or not 1 <= dim <= MAX_DIM:
                 raise ParseError(
                     f"header needs N >= 0 and 1 <= d <= {MAX_DIM}, got {header.strip()!r}")
-            table = random_table(len(vocab), dim, rng)
+            table = _PretrainedTable(random_table(len(vocab), dim, rng).data, trainable)
             for lineno in range(2, n + 2):
                 raw = fh.readline()
                 if not raw:

@@ -208,21 +208,22 @@ def test_train_checkpoint_takes_the_npz_suffix(capsys, corpora, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["m.npz"]
 
 
-def test_failed_training_removes_only_the_outputs_it_created(capsys, corpora, tmp_path,
-                                                             monkeypatch):
+@pytest.mark.parametrize("failing", ["train", "save_checkpoint", "history_to_csv"])
+def test_failed_run_removes_only_the_outputs_it_created(failing, capsys, corpora, tmp_path,
+                                                        monkeypatch):
     from metadetector import cli
-    from metadetector.errors import NumericalError
 
-    def failing_train(*args, **kwargs):
-        raise NumericalError("non-finite detection loss at epoch 1")
+    def fail(*args, **kwargs):
+        raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(cli, "train", failing_train)
+    monkeypatch.setattr(cli, failing, fail)
     src, tgt = corpora
     history = tmp_path / "h.csv"
     history.write_text("earlier run\n")
     code, _, err = run_cli(capsys, "train", "--source", src, "--target", tgt,
-                           "--out", str(tmp_path / "m"), "--history", str(history))
-    assert code == 2 and "non-finite" in err
+                           "--out", str(tmp_path / "m"), "--history", str(history),
+                           "--epochs", "1", "--batch-size", "20")
+    assert code == 2 and "No space left" in err
     assert [p.name for p in tmp_path.iterdir()] == ["h.csv"]
     assert history.read_text() == "earlier run\n"
 

@@ -247,6 +247,16 @@ class TestPretrainedVectors:
         assert table.data[vocab.token_to_id["b"]].tolist() == [4, 5, 6]
         assert np.array_equal(table.data[PAD_ID], np.zeros(3))
 
+    @pytest.mark.parametrize("trainable", [True, False])
+    def test_trainable_sets_requires_grad(self, tmp_path, trainable):
+        vocab = build_vocab([corpus_of(["a b"])])
+        path = tmp_path / "vec.txt"
+        path.write_text("1 3\na 1 2 3\n")
+        table = load_pretrained_vectors(str(path), vocab, np.random.default_rng(0),
+                                        trainable=trainable)
+        assert table.requires_grad is trainable
+        assert table.weights is table
+
     def test_malformed_line_reports_number(self, tmp_path):
         vocab = build_vocab([corpus_of(["a"])])
         path = tmp_path / "vec.txt"
