@@ -33,7 +33,7 @@ class Tensor:
     A leaf (a tensor made by this constructor) has ``grad`` of the same
     shape as ``data``; gradients accumulate there across successive
     :func:`backward` calls until :meth:`zero_grad`. An op output has
-    ``grad = None``: its gradient lives only inside :func:`backward`.
+    ``grad = None`` and requires grad iff one of its inputs does.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -58,9 +58,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def is_leaf(self) -> bool:
-        return not self._parents
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
@@ -150,7 +147,7 @@ def _op(data: np.ndarray, parents: Sequence[Tensor],
     out = Tensor.__new__(Tensor)  # no grad buffer: only leaves keep one
     out.data = np.asarray(data, dtype=np.float64)
     out.grad = None
-    out.requires_grad = False
+    out.requires_grad = any(p.requires_grad for p in parents)
     out._parents = tuple(parents)
     out._backward = bwd
     return out
@@ -443,15 +440,17 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
 def backward(seed: Tensor) -> None:
     """Accumulate d(seed)/d(leaf) into every requires_grad leaf.
 
-    ``seed`` must be scalar. Intermediate gradients are transient; leaf
-    gradients accumulate across calls until explicitly zeroed.
+    ``seed`` must be scalar. Only nodes that require grad are visited, so a
+    frozen embedding table and the ops on it are never differentiated.
+    Intermediate gradients are transient; leaf gradients accumulate across
+    calls until explicitly zeroed.
     """
     if seed.size != 1:
         raise ContractError(f"backward seed must be scalar, got shape {seed.shape}")
 
     topo: list[Tensor] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(seed, False)]
+    stack: list[tuple[Tensor, bool]] = [(seed, False)] if seed.requires_grad else []
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -462,30 +461,20 @@ def backward(seed: Tensor) -> None:
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in visited:
+            if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
-
-    # only nodes that reach a requires_grad leaf take part; the rest (a frozen
-    # embedding table and the ops on it) are never differentiated
-    live: set[int] = set()
-    for node in topo:  # parents come before their children
-        if (node.requires_grad if node.is_leaf()
-                else any(id(p) in live for p in node._parents)):
-            live.add(id(node))
 
     grads: dict[int, np.ndarray] = {id(seed): np.ones_like(seed.data)}
     for node in reversed(topo):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._backward is not None:
-            for parent, pg in zip(node._parents, node._backward(g)):
-                if id(parent) not in live:
-                    continue
-                acc = grads.get(id(parent))
-                if acc is None:
-                    grads[id(parent)] = np.array(pg, dtype=np.float64, copy=True)
-                else:
-                    acc += pg
-        elif node.requires_grad:
+        g = grads.pop(id(node))
+        if node._backward is None:
             node.grad += g
+            continue
+        for parent, pg in zip(node._parents, node._backward(g)):
+            if not parent.requires_grad:
+                continue
+            acc = grads.get(id(parent))
+            if acc is None:
+                grads[id(parent)] = np.array(pg, dtype=np.float64, copy=True)
+            else:
+                acc += pg

@@ -140,7 +140,7 @@ def _cmd_train(args) -> int:
         raise
     last = history[-1]
     print(json.dumps({
-        "checkpoint": args.out,
+        "checkpoint": out,
         "epochs": len(history),
         "shift": shift.to_dict(),
         "final_source_accuracy": last.source_accuracy,

@@ -285,10 +285,10 @@ def load_checkpoint(path: str) -> ModelParams:
 
 
 def _read_checkpoint(path: str) -> ModelParams:
-    npz = np.load(path, allow_pickle=False)
-    if not isinstance(npz, np.lib.npyio.NpzFile):
-        raise CheckpointError("a single .npy array, not an npz checkpoint")
-    with npz:
+    with open(path, "rb") as fh:  # closed however the read ends
+        npz = np.load(fh, allow_pickle=False)
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise CheckpointError("a single .npy array, not an npz checkpoint")
         meta = json.loads(str(npz["__meta__"]))
         _check_meta(meta)
         vocab = Vocabulary(

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -133,12 +133,6 @@ class TrainConfig:
 
 
 @dataclass
-class WeightVector:
-    values: np.ndarray
-    mode: str  # "gated_weights" | "all_ones"
-
-
-@dataclass
 class EpochRecord:
     epoch: int
     loss_detection: float
@@ -193,15 +187,13 @@ def total_loss(l_yw: Tensor, l_pe: Tensor, l_ew: Tensor, mu: float) -> Tensor:
 
 
 def compute_weights(pseudo_probs: np.ndarray, gate_open: bool,
-                    override: str = "auto") -> WeightVector:
+                    override: str = "auto") -> np.ndarray:
     """w = 1 - w_hat when weighting is active, all-ones otherwise."""
     if override not in WEIGHTING_MODES:
         raise ConfigurationError(f"override must be one of {WEIGHTING_MODES}")
     probs = np.asarray(pseudo_probs, dtype=np.float64)
     active = override == "always_on" or (override == "auto" and gate_open)
-    if active:
-        return WeightVector(values=1.0 - probs, mode="gated_weights")
-    return WeightVector(values=np.ones_like(probs), mode="all_ones")
+    return 1.0 - probs if active else np.ones_like(probs)
 
 
 # -- batch scheduling ------------------------------------------------------
@@ -228,11 +220,10 @@ def make_batches(n_source: int, n_target: int, batch_size: int,
         yield src[b * half:(b + 1) * half], tgt[b * half:(b + 1) * half]
 
 
-def sgd_step(tensors: list[Tensor], lr: float) -> None:
-    """Plain SGD update, then zero the gradients."""
+def sgd_step(tensors: Iterable[Tensor], lr: float) -> None:
+    """Plain SGD update of every tensor given, then zero the gradients."""
     for t in tensors:
-        if t.requires_grad:
-            t.data -= lr * t.grad
+        t.data -= lr * t.grad
         t.zero_grad()
 
 
@@ -245,9 +236,9 @@ def _check_finite(name: str, value: float, epoch: int) -> float:
     return value
 
 
-def _check_finite_grads(named: list[tuple[str, Tensor]], epoch: int) -> None:
+def _check_finite_grads(named: dict[str, Tensor], epoch: int) -> None:
     """Raise before any update if a gradient holds a NaN or an infinity."""
-    for name, t in named:
+    for name, t in named.items():
         if not np.isfinite(t.grad).all():
             raise NumericalError(f"non-finite gradient of {name} at epoch {epoch}")
 
@@ -303,15 +294,14 @@ def train(source: EventCorpus, target: EventCorpus,
     y_t = (np.array([p.label for p in target.posts], dtype=np.int64)
            if target_labeled else None)
 
-    trainables = params.trainable_tensors()
-    named = [(name, t) for name, t in named_tensors(params).items() if t.requires_grad]
+    # the run's one record of what it trains: checked, then stepped
+    named = {name: t for name, t in named_tensors(params).items() if t.requires_grad}
     history: list[EpochRecord] = []
 
     for epoch in range(1, config.epochs + 1):
         sums = {"yw": 0.0, "ew": 0.0, "pe": 0.0}
         n_batches = 0
         correct = 0
-        seen = 0
         wmin, wmax, wsum, wcount = math.inf, -math.inf, 0.0, 0
 
         for src_idx, tgt_idx in make_batches(len(source), len(target),
@@ -327,15 +317,15 @@ def train(source: EventCorpus, target: EventCorpus,
             pe_t = pseudo_discriminate(feats_t, params.theta_pe)
             l_pe = loss_pseudo(pe_s, pe_t)
 
-            wv = compute_weights(pe_s.data, shift.gate_open,
-                                 config.weighting_override)
+            w = compute_weights(pe_s.data, shift.gate_open,
+                                config.weighting_override)
 
             probs = detect(feats_s, params.theta_y)
-            l_yw = loss_detection_weighted(probs, y_s[src_idx], wv.values)
+            l_yw = loss_detection_weighted(probs, y_s[src_idx], w)
 
             e_s = discriminate_event(feats_s, params.theta_e, config.lambda_)
             e_t = discriminate_event(feats_t, params.theta_e, config.lambda_)
-            l_ew = loss_event_weighted(e_s, e_t, wv.values)
+            l_ew = loss_event_weighted(e_s, e_t, w)
 
             sums["yw"] += _check_finite("detection loss", l_yw.item(), epoch)
             sums["ew"] += _check_finite("event loss", l_ew.item(), epoch)
@@ -344,14 +334,13 @@ def train(source: EventCorpus, target: EventCorpus,
 
             backward(total_loss(l_yw, l_pe, l_ew, config.mu))
             _check_finite_grads(named, epoch)
-            sgd_step(trainables, config.lr)
+            sgd_step(named.values(), config.lr)
 
             correct += int((probs.data.argmax(axis=1) == y_s[src_idx]).sum())
-            seen += len(src_idx)
-            wmin = min(wmin, float(wv.values.min()))
-            wmax = max(wmax, float(wv.values.max()))
-            wsum += float(wv.values.sum())
-            wcount += len(wv.values)
+            wmin = min(wmin, float(w.min()))
+            wmax = max(wmax, float(w.max()))
+            wsum += float(w.sum())
+            wcount += len(w)
 
         target_acc = (int((predict(params, ids_t) == y_t).sum()) / len(y_t)
                       if target_labeled else None)
@@ -360,7 +349,7 @@ def train(source: EventCorpus, target: EventCorpus,
             loss_detection=sums["yw"] / n_batches,
             loss_event=sums["ew"] / n_batches,
             loss_pseudo=sums["pe"] / n_batches,
-            source_accuracy=correct / seen,
+            source_accuracy=correct / wcount,
             target_accuracy=target_acc,
             weight_mean=wsum / wcount,
             weight_min=wmin,

@@ -220,9 +220,9 @@ def test_criterion_06_weighting_laws():
     w_hat = rng.uniform(1e-9, 1 - 1e-9, size=200)
     gated = compute_weights(w_hat, gate_open=True)
     closed = compute_weights(w_hat, gate_open=False)
-    in_range = bool(np.all((gated.values > 0) & (gated.values < 1)))
-    complement = np.array_equal(gated.values, 1.0 - w_hat)
-    all_ones = np.array_equal(closed.values, np.ones_like(w_hat))
+    in_range = bool(np.all((gated > 0) & (gated < 1)))
+    complement = np.array_equal(gated, 1.0 - w_hat)
+    all_ones = np.array_equal(closed, np.ones_like(w_hat))
 
     spec = SynthSpec(n_source=200, n_target=200, shift=0.0, post_length=10,
                      seed=2)

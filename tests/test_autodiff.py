@@ -449,6 +449,28 @@ def test_only_leaves_hold_grad_buffers():
 
 
 class TestPrunedBackward:
+    def test_op_requires_grad_iff_an_input_does(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        c = Tensor(rng.normal(size=(3, 2)))
+        table, filters, biases = text_cnn_params(rng, trainable=False)
+        fixed = [Tensor(t.data) for t in (*filters, *biases)]
+        ids = np.array([[1, 2, 3, 4], [5, 0, 0, 0]])
+        assert relu(x).requires_grad and not relu(c).requires_grad
+        assert matmul(x, c).requires_grad and matmul(c, x).requires_grad
+        assert not matmul(c, c.T).requires_grad
+        assert text_cnn(table, ids, filters, biases).requires_grad
+        frozen_cnn = text_cnn(table, ids, fixed[:3], fixed[3:])
+        assert not frozen_cnn.requires_grad
+        assert not x.detach().requires_grad
+
+        # a seed that no trainable input reaches leaves every leaf's grad at 0
+        seed = relu(c).sum() + (x.detach() * 2.0).sum() + frozen_cnn.sum()
+        assert not seed.requires_grad
+        backward(seed)
+        for leaf in (x, c, table, *filters, *biases, *fixed):
+            assert not leaf.grad.any()
+
     def test_frozen_table_skips_lookup_backward(self, monkeypatch):
         from helpers import analytic_model_grads, build_tiny_model, random_batch
         from metadetector import model

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -91,7 +92,7 @@ def test_eval_unlabeled_corpus_exits_2(capsys, corpora, tmp_path):
 
     unlabeled = tmp_path / "unlabeled.jsonl"
     lines = []
-    for i, line in enumerate(open(tgt, encoding="utf-8")):
+    for i, line in enumerate(Path(tgt).read_text(encoding="utf-8").splitlines()):
         obj = json.loads(line)
         if i == 0:
             obj["label"] = None
@@ -102,6 +103,18 @@ def test_eval_unlabeled_corpus_exits_2(capsys, corpora, tmp_path):
                            "--corpus", str(unlabeled))
     assert code == 2
     assert json.loads(lines[0])["id"] in err
+
+
+def test_train_prints_the_checkpoint_it_wrote(capsys, corpora, tmp_path):
+    src, tgt = corpora
+    code, out, _ = run_cli(capsys, "train", "--source", src, "--target", tgt,
+                           "--out", str(tmp_path / "m"), "--epochs", "1",
+                           "--batch-size", "20")
+    assert code == 0
+    written = json.loads(out)["checkpoint"]
+    assert written == str(tmp_path / "m.npz")
+    code, _, _ = run_cli(capsys, "eval", "--checkpoint", written, "--corpus", tgt)
+    assert code == 0
 
 
 def test_train_weighting_flag(capsys, corpora, tmp_path):
@@ -127,7 +140,7 @@ def test_determinism_across_runs(capsys, corpora, tmp_path):
         assert main(["eval", "--checkpoint", ckpt, "--corpus", tgt,
                      "--out", rep]) == 0
         capsys.readouterr()
-        return open(hist, "rb").read(), open(rep, "rb").read()
+        return Path(hist).read_bytes(), Path(rep).read_bytes()
 
     assert run("a") == run("b")
 
@@ -161,7 +174,7 @@ def test_train_uses_the_config_seed(capsys, corpora, tmp_path):
     assert main([*base, "--config", str(cfg), "--out", a]) == 0
     assert main([*base, "--seed", "42", "--out", b]) == 0
     capsys.readouterr()
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_reserved_token_spellings_in_posts(capsys, tmp_path):
@@ -344,7 +357,7 @@ def _write_bad_input(case, d, checkpoint):
     if case == "checkpoint-not-npz":
         path.write_text("not an archive\n")
     elif case == "checkpoint-truncated":
-        data = open(checkpoint, "rb").read()
+        data = Path(checkpoint).read_bytes()
         path.write_bytes(data[:len(data) // 2])
     elif case in CHECKPOINT_TAMPERS:
         with np.load(checkpoint) as npz:

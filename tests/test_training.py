@@ -135,31 +135,29 @@ class TestTotalLoss:
 
 class TestComputeWeights:
     def test_complement_rule(self):
-        wv = compute_weights(np.array([0.3]), gate_open=True, override="auto")
-        assert wv.values[0] == pytest.approx(0.7)
-        assert wv.mode == "gated_weights"
+        w = compute_weights(np.array([0.3]), gate_open=True, override="auto")
+        assert w[0] == pytest.approx(0.7)
 
     def test_gate_closed_all_ones(self):
-        wv = compute_weights(np.array([0.3, 0.9]), gate_open=False,
-                             override="auto")
-        assert wv.values.tolist() == [1.0, 1.0]
-        assert wv.mode == "all_ones"
+        w = compute_weights(np.array([0.3, 0.9]), gate_open=False,
+                            override="auto")
+        assert w.tolist() == [1.0, 1.0]
 
     def test_monotone_endpoint(self):
-        wv = compute_weights(np.array([0.999999]), gate_open=True,
-                             override="auto")
-        assert wv.values[0] < 1e-5
+        w = compute_weights(np.array([0.999999]), gate_open=True,
+                            override="auto")
+        assert w[0] < 1e-5
 
     def test_override_always_on(self):
-        wv = compute_weights(np.array([0.4]), gate_open=False,
-                             override="always_on")
-        assert wv.mode == "gated_weights"
+        w = compute_weights(np.array([0.4]), gate_open=False,
+                            override="always_on")
+        assert w[0] == 1 - 0.4
 
     def test_gated_weights_in_open_interval(self):
         rng = np.random.default_rng(2)
         probs = rng.uniform(1e-6, 1 - 1e-6, size=100)
-        wv = compute_weights(probs, gate_open=True, override="auto")
-        assert (wv.values > 0).all() and (wv.values < 1).all()
+        w = compute_weights(probs, gate_open=True, override="auto")
+        assert (w > 0).all() and (w < 1).all()
 
 
 class TestMakeBatches:
@@ -198,12 +196,6 @@ class TestSgdStep:
 
     def test_zero_grad_no_change(self):
         t = Tensor([2.0], requires_grad=True)
-        sgd_step([t], lr=0.5)
-        assert t.data[0] == 2.0
-
-    def test_frozen_tensor_untouched(self):
-        t = Tensor([2.0], requires_grad=False)
-        t.grad[0] = 1.0
         sgd_step([t], lr=0.5)
         assert t.data[0] == 2.0
 
