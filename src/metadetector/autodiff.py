@@ -1,13 +1,17 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Provides exactly the operations the detection model needs (dense matmul,
-the fused Text-CNN feature op, the usual activations, inverted dropout, a
-row split) plus a gradient-reversal node. The unfused embedding lookup,
-valid text convolution and max-over-time pooling stay as the reference the
-fused op is tested against. Graphs are implicit tapes: each op output
-records its parent tensors and a backward closure, and :func:`backward`
-walks the tape in reverse topological order, accumulating gradients into
-leaf tensors. No general broadcasting, no GPU, no higher-order derivatives.
+Provides exactly the operations the detection model needs (the fused
+Text-CNN feature op, relu, inverted dropout, a row split) plus a
+gradient-reversal node. The model's heads and the training losses are
+fused ops too, each one tape node, made with :func:`_op` in ``model`` and
+``training``; ``matmul``, ``sigmoid`` and ``softmax_rows`` stay as the
+primitives those fused ops are tested against, as the unfused embedding
+lookup, valid text convolution and max-over-time pooling stay for
+``text_cnn``. Graphs are implicit tapes: each op output records its parent
+tensors and a backward closure, and :func:`backward` walks the tape in
+reverse topological order, accumulating gradients into the leaf tensors
+that require grad. No general broadcasting, no GPU, no higher-order
+derivatives.
 """
 
 from __future__ import annotations
@@ -28,20 +32,21 @@ LOG_CLAMP = 1e-12  # probabilities are clamped here before any log
 
 
 class Tensor:
-    """Dense float64 array; a leaf also holds an accumulated-gradient buffer.
+    """Dense float64 array; a leaf that trains also holds a gradient buffer.
 
-    A leaf (a tensor made by this constructor) has ``grad`` of the same
-    shape as ``data``; gradients accumulate there across successive
-    :func:`backward` calls until :meth:`zero_grad`. An op output has
-    ``grad = None`` and requires grad iff one of its inputs does.
+    A leaf (a tensor made by this constructor) that requires grad has
+    ``grad`` of the same shape as ``data``; gradients accumulate there
+    across successive :func:`backward` calls until :meth:`zero_grad`. Any
+    other tensor (a constant, a ``detach()`` output, an op output) has
+    ``grad = None``; an op output requires grad iff one of its inputs does.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
         self.requires_grad = bool(requires_grad)
+        self.grad = np.zeros_like(self.data) if self.requires_grad else None
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Optional[Callable[[np.ndarray], tuple]] = None
 
@@ -121,10 +126,8 @@ class Tensor:
 
     def log(self) -> "Tensor":
         """Natural log with the argument clamped at ``LOG_CLAMP``."""
-        clamped = np.maximum(self.data, LOG_CLAMP)
-        mask = self.data >= LOG_CLAMP
-        return _op(np.log(clamped), (self,),
-                   lambda g: (np.where(mask, g / clamped, 0.0),))
+        out, clamped, kept = _clamped_log(self.data)
+        return _op(out, (self,), lambda g: (np.where(kept, g / clamped, 0.0),))
 
     def reshape(self, shape: tuple[int, ...]) -> "Tensor":
         old = self.shape
@@ -136,6 +139,13 @@ class Tensor:
         if self.ndim != 2:
             raise DimensionError(f"transpose expects a matrix, got shape {self.shape}")
         return _op(self.data.T.copy(), (self,), lambda g: (g.T,))
+
+
+def _clamped_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log of ``p`` clamped at ``LOG_CLAMP``, the clamped values, and where
+    the clamp leaves ``p`` as it is (the log's gradient is 0 elsewhere)."""
+    clamped = np.maximum(p, LOG_CLAMP)
+    return np.log(clamped), clamped, p >= LOG_CLAMP
 
 
 def _as_tensor(x) -> Tensor:
@@ -210,26 +220,36 @@ def relu(x: Tensor) -> Tensor:
     return _op(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    """Numerically stable logistic function."""
-    d = x.data
+def _sigmoid(d: np.ndarray) -> np.ndarray:
     out = np.empty_like(d)
     pos = d >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
     ex = np.exp(d[~pos])
     out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    """Numerically stable logistic function."""
+    out = _sigmoid(x.data)
     return _op(out, (x,), lambda g: (g * out * (1.0 - out),))
+
+
+def _softmax_rows(d: np.ndarray) -> np.ndarray:
+    e = np.exp(d - d.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_rows_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return s * (g - (g * s).sum(axis=1, keepdims=True))
 
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax of a 2-D tensor, max-subtraction stabilized."""
     if x.ndim != 2:
         raise DimensionError(f"softmax_rows expects a matrix, got shape {x.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
-    return _op(s, (x,),
-               lambda g: (s * (g - (g * s).sum(axis=1, keepdims=True)),))
+    s = _softmax_rows(x.data)
+    return _op(s, (x,), lambda g: (_softmax_rows_grad(s, g),))
 
 
 # -- text convolution stack --------------------------------------------------
@@ -303,12 +323,13 @@ def text_cnn(table: Tensor, ids: np.ndarray, filters: Sequence[Tensor],
     argmax; the PAD row gets none, and no table gradient is computed while
     ``table.requires_grad`` is false.
 
-    Forward is one im2col matmul with positions last, then a first argmax
-    per window size over its valid positions only. Backward is one scatter
-    of the gradient per (distinct batch token, filter, offset) of the
-    winning windows, then one matmul each for the filter and the table
-    gradients, so its memory grows with the batch's distinct tokens, not
-    with the table.
+    Forward is one im2col matmul with positions last; each window size's
+    positions past the sequence are set to -inf, so one argmax over all
+    positions takes each filter's first maximum over its valid ones.
+    Backward is one scatter of the gradient per (distinct batch token,
+    filter, offset) of the winning windows, then one matmul each for the
+    filter and the table gradients, so its memory grows with the batch's
+    distinct tokens, not with the table.
     """
     ids = np.asarray(ids)
     if ids.ndim != 2:
@@ -339,13 +360,15 @@ def text_cnn(table: Tensor, ids: np.ndarray, filters: Sequence[Tensor],
     padded = np.zeros((n_b, k + w_max - 1), dtype=ids.dtype)  # right-padded with PAD
     padded[:, :k] = ids
     window_ids = np.lib.stride_tricks.sliding_window_view(padded, w_max, axis=1)
-    cols = table.data[window_ids].reshape(n_b * k, w_max * d)  # im2col by gather
+    # im2col by gather; np.take copies rows faster than fancy indexing
+    cols = np.take(table.data, window_ids, axis=0).reshape(n_b * k, w_max * d)
     # positions last, so each filter's are contiguous; window h takes its
-    # first maximum over its own k - h + 1 positions
+    # first maximum over its own k - h + 1 positions, since its tail
+    # positions, which read past the sequence, are set to -inf first
     conv = (bank @ cols.T).reshape(n_out, n_b, k)
-    arg = np.empty((n_out, n_b), dtype=np.intp)
     for h, rows in enumerate(banks, start=1):
-        arg[rows] = conv[rows, :, :k - h + 1].argmax(axis=-1)
+        conv[rows, :, k - h + 1:] = -np.inf
+    arg = conv.argmax(axis=-1)
     # a bias shifts every position alike: added after the max, it gives the same float
     data = (np.take_along_axis(conv, arg[..., None], axis=-1)[..., 0].T
             + np.concatenate([b.data for b in biases]))
@@ -443,7 +466,8 @@ def backward(seed: Tensor) -> None:
     ``seed`` must be scalar. Only nodes that require grad are visited, so a
     frozen embedding table and the ops on it are never differentiated.
     Intermediate gradients are transient; leaf gradients accumulate across
-    calls until explicitly zeroed.
+    calls until explicitly zeroed. A closure's returned arrays are kept as
+    they are and never written: a later contribution is added out of place.
     """
     if seed.size != 1:
         raise ContractError(f"backward seed must be scalar, got shape {seed.shape}")
@@ -474,7 +498,4 @@ def backward(seed: Tensor) -> None:
             if not parent.requires_grad:
                 continue
             acc = grads.get(id(parent))
-            if acc is None:
-                grads[id(parent)] = np.array(pg, dtype=np.float64, copy=True)
-            else:
-                acc += pg
+            grads[id(parent)] = pg if acc is None else acc + pg

@@ -15,12 +15,13 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
+    _op,
+    _sigmoid,
+    _softmax_rows,
+    _softmax_rows_grad,
     dropout,
     grl,
-    matmul,
     relu,
-    sigmoid,
-    softmax_rows,
     text_cnn,
 )
 from .errors import CheckpointError
@@ -122,8 +123,28 @@ def init_model(vocab: Vocabulary, table: Tensor, k: int, seed: int,
     return _assemble(tensors, table, vocab, k, seed, dict(config_snapshot or {}))
 
 
+# The fused ops below repeat, in order, the floating-point operations of the
+# unfused transpose, matmul and add nodes, so their results are bit for bit
+# the same.
+
+
+def _affine(x: np.ndarray, w: Tensor, b: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """``x w^T + b``, and the copy of ``w.T`` it multiplies by."""
+    wt = w.data.T.copy()
+    return x @ wt + b.data, wt
+
+
+def _affine_grads(x: np.ndarray, wt: np.ndarray, g: np.ndarray,
+                  x_trains: bool = True) -> tuple:
+    """Gradients for (x, w, b) of ``x @ wt + b``; no x gradient is computed
+    unless ``x_trains``."""
+    return (g @ wt.T if x_trains else None), (x.T @ g).T, g.sum(axis=0)
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return matmul(x, w.T) + b
+    """``x w^T + b`` as one node."""
+    out, wt = _affine(x.data, w, b)
+    return _op(out, (x, w, b), lambda g: _affine_grads(x.data, wt, g, x.requires_grad))
 
 
 def extract_features(ids: np.ndarray, theta_f: FeatureExtractorParams,
@@ -137,14 +158,33 @@ def extract_features(ids: np.ndarray, theta_f: FeatureExtractorParams,
 
 
 def detect(features: Tensor, theta_y: DetectorParams) -> Tensor:
-    """Class probabilities per post; column 0 = fake, column 1 = real."""
-    return softmax_rows(linear(features, theta_y.w, theta_y.b))
+    """Class probabilities per post; column 0 = fake, column 1 = real.
+
+    One node: the softmax of ``linear(features, w, b)``."""
+    z, wt = _affine(features.data, theta_y.w, theta_y.b)
+    s = _softmax_rows(z)
+    return _op(s, (features, theta_y.w, theta_y.b),
+               lambda g: _affine_grads(features.data, wt, _softmax_rows_grad(s, g),
+                                       features.requires_grad))
 
 
 def _discriminator_head(features: Tensor, theta: DiscriminatorParams) -> Tensor:
-    h = relu(linear(features, theta.w1, theta.b1))
-    p = sigmoid(linear(h, theta.w2, theta.b2))
-    return p.reshape((p.shape[0],))
+    """One node: ``sigmoid(linear(relu(linear(features, w1, b1)), w2, b2))``,
+    one probability per row."""
+    pre, w1t = _affine(features.data, theta.w1, theta.b1)
+    mask = pre > 0
+    h = np.where(mask, pre, 0.0)
+    z, w2t = _affine(h, theta.w2, theta.b2)
+    p = _sigmoid(z)
+
+    def bwd(g: np.ndarray) -> tuple:
+        gh, gw2, gb2 = _affine_grads(h, w2t, g.reshape(p.shape) * p * (1.0 - p))
+        gx, gw1, gb1 = _affine_grads(features.data, w1t, gh * mask,
+                                     features.requires_grad)
+        return gx, gw1, gb1, gw2, gb2
+
+    return _op(p.reshape(len(p)), (features, theta.w1, theta.b1, theta.w2, theta.b2),
+               bwd)
 
 
 def discriminate_event(features: Tensor, theta_e: DiscriminatorParams,

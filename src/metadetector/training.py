@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .autodiff import Tensor, backward, split_rows
+from .autodiff import Tensor, _clamped_log, _op, backward, split_rows
 from .errors import ConfigurationError, ContractError, NumericalError
 from .evaluation import predict
 from .mmd import ShiftReport, shift_gate
@@ -150,7 +150,7 @@ class EpochRecord:
 
 def loss_detection_weighted(probs: Tensor, labels: np.ndarray,
                             weights: np.ndarray) -> Tensor:
-    """Weighted two-class cross-entropy, mean over the batch."""
+    """Weighted two-class cross-entropy, mean over the batch, as one node."""
     labels = np.asarray(labels)
     weights = np.asarray(weights, dtype=np.float64)
     n = probs.shape[0]
@@ -159,20 +159,34 @@ def loss_detection_weighted(probs: Tensor, labels: np.ndarray,
             f"got {n} rows but {len(labels)} labels / {len(weights)} weights")
     onehot = np.zeros((n, 2))
     onehot[np.arange(n), labels] = 1.0
-    picked = (probs * Tensor(onehot)).sum(axis=1)
-    return -(picked.log() * Tensor(weights)).mean()
+    log_p, clamped, kept = _clamped_log((probs.data * onehot).sum(axis=1))
+    scale = 1.0 / n  # a mean is its sum times 1/n
+
+    def bwd(g) -> tuple:
+        g_picked = np.where(kept, -g * scale * weights / clamped, 0.0)
+        return (g_picked[:, None] * onehot,)
+
+    return _op(-((log_p * weights).sum() * scale), (probs,), bwd)
 
 
 def loss_event_weighted(src_probs: Tensor, tgt_probs: Tensor,
                         weights: np.ndarray) -> Tensor:
-    """Binary cross-entropy with per-source-post weights (source = class 1)."""
+    """Binary cross-entropy with per-source-post weights (source = class 1),
+    as one node."""
     weights = np.asarray(weights, dtype=np.float64)
     if len(weights) != src_probs.shape[0]:
         raise ContractError(
             f"{src_probs.shape[0]} source probs but {len(weights)} weights")
-    src_term = (src_probs.log() * Tensor(weights)).mean()
-    tgt_term = (1.0 - tgt_probs).log().mean()
-    return -(src_term + tgt_term)
+    log_s, clamped_s, kept_s = _clamped_log(src_probs.data)
+    log_t, clamped_t, kept_t = _clamped_log(1.0 - tgt_probs.data)
+    scale_s, scale_t = 1.0 / len(log_s), 1.0 / len(log_t)
+
+    def bwd(g) -> tuple:
+        return (np.where(kept_s, -g * scale_s * weights / clamped_s, 0.0),
+                -np.where(kept_t, -g * scale_t / clamped_t, 0.0))
+
+    return _op(-((log_s * weights).sum() * scale_s + log_t.sum() * scale_t),
+               (src_probs, tgt_probs), bwd)
 
 
 def loss_pseudo(src_probs: Tensor, tgt_probs: Tensor) -> Tensor:
@@ -269,7 +283,8 @@ def prepare(source: EventCorpus, target: EventCorpus, config: TrainConfig
         table = load_pretrained_vectors(config.pretrained_vectors, vocab, emb_rng)
     else:
         table = random_table(len(vocab), config.embedding_dim, emb_rng)
-    table.requires_grad = not config.freeze_embeddings
+    if config.freeze_embeddings:  # a frozen table keeps no gradient buffer
+        table.requires_grad, table.grad = False, None
     shift = shift_gate(source, target, vocab, table, d_star=config.d_star)
     return vocab, k, table, shift
 

@@ -1,10 +1,13 @@
 import tracemalloc
+from dataclasses import is_dataclass
 
 import numpy as np
 import pytest
 
+from metadetector import model
 from metadetector.autodiff import (
     Tensor,
+    _op,
     backward,
     concat,
     conv_text,
@@ -26,7 +29,20 @@ from metadetector.errors import (
     EmptySequenceError,
     VocabMismatchError,
 )
-from helpers import central_difference, rel_error
+from metadetector.model import (
+    DetectorParams,
+    DiscriminatorParams,
+    detect,
+    extract_features,
+    linear,
+)
+from metadetector.training import (
+    compute_weights,
+    loss_detection_weighted,
+    loss_event_weighted,
+    total_loss,
+)
+from helpers import build_tiny_model, central_difference, random_batch, rel_error
 
 
 class TestMatmul:
@@ -287,7 +303,7 @@ def text_cnn_params(rng, vocab_size=12, d=3, n_c=2, w_max=3, trainable=True):
 
 
 def output_and_grads(op, table, ids, filters, biases, g):
-    leaves = [table, *filters, *biases]
+    leaves = [t for t in (table, *filters, *biases) if t.requires_grad]
     for t in leaves:
         t.zero_grad()
     out = op(table, ids, filters, biases)
@@ -399,6 +415,24 @@ class TestTextCnn:
         assert fused[1][1:].tolist() == [[1.0], [-1.0]]
         assert fused[3].tolist() == [[[-10.0, -10.0]]]
 
+    def test_huge_negative_windows_never_pick_the_tail(self):
+        # tokens 1-3 share an embedding, so every valid window of a bank ties
+        # near -1e300 per tap; window 2's tail (token 3 and a PAD) reads only
+        # -1e300, above its valid -3e300, and must not win
+        table = Tensor(np.array([[0.0], [1e300], [1e300], [1e300]]), requires_grad=True)
+        f1 = Tensor(np.array([[[-1.0]]]), requires_grad=True)
+        f2 = Tensor(np.array([[[-1.0, -2.0]]]), requires_grad=True)
+        biases = [Tensor(np.zeros(1), requires_grad=True) for _ in range(2)]
+        ids = np.array([[1, 2, 3]])
+        g = np.ones((1, 2))
+        fused = output_and_grads(text_cnn, table, ids, [f1, f2], biases, g)
+        ref = output_and_grads(unfused_text_cnn, table, ids, [f1, f2], biases, g)
+        assert all(np.array_equal(a, b) for a, b in zip(fused, ref))
+        assert fused[0].tolist() == [[-1e300, -3e300]]
+        # position 0 wins both banks: token 1 takes offset 0 of each, token 2
+        # offset 1 of the width-2 filter, token 3 nothing
+        assert fused[1][1:].tolist() == [[-2.0], [-2.0], [0.0]]
+
     def test_frozen_table_backward_memory_at_batch_size(self):
         # the scatter is sized by the batch's distinct tokens, not by |V|
         vocab_size, d = 1_000_000, 4
@@ -426,6 +460,211 @@ class TestTextCnn:
             text_cnn(table, np.array([[1, 2]]), filters, biases)
 
 
+# -- fused heads and losses ---------------------------------------------------
+# The primitive-op composites each fused op must reproduce bit for bit.
+
+
+def unfused_linear(x, w, b):
+    return matmul(x, w.T) + b
+
+
+def unfused_detect(features, theta_y):
+    return softmax_rows(unfused_linear(features, theta_y.w, theta_y.b))
+
+
+def unfused_discriminator_head(features, theta):
+    h = relu(unfused_linear(features, theta.w1, theta.b1))
+    p = sigmoid(unfused_linear(h, theta.w2, theta.b2))
+    return p.reshape((p.shape[0],))
+
+
+def unfused_loss_detection_weighted(probs, labels, weights):
+    n = probs.shape[0]
+    onehot = np.zeros((n, 2))
+    onehot[np.arange(n), labels] = 1.0
+    picked = (probs * Tensor(onehot)).sum(axis=1)
+    return -(picked.log() * Tensor(weights)).mean()
+
+
+def unfused_loss_event_weighted(src_probs, tgt_probs, weights):
+    src_term = (src_probs.log() * Tensor(weights)).mean()
+    tgt_term = (1.0 - tgt_probs).log().mean()
+    return -(src_term + tgt_term)
+
+
+FUSED = {"linear": linear, "detect": detect, "head": model._discriminator_head,
+         "detection_loss": loss_detection_weighted, "event_loss": loss_event_weighted}
+UNFUSED = {"linear": unfused_linear, "detect": unfused_detect,
+           "head": unfused_discriminator_head,
+           "detection_loss": unfused_loss_detection_weighted,
+           "event_loss": unfused_loss_event_weighted}
+
+
+def leaf(rng, *shape, scale=1.0):
+    return Tensor(rng.normal(scale=scale, size=shape), requires_grad=True)
+
+
+def op_output_and_grads(op, args, g):
+    """``op(*args)``'s values and each trained tensor argument's gradient
+    of ``sum(op(*args) * g)``; a params dataclass counts by its fields."""
+    leaves = [t for a in args for t in (vars(a).values() if is_dataclass(a) else [a])
+              if isinstance(t, Tensor) and t.requires_grad]
+    for t in leaves:
+        t.zero_grad()
+    out = op(*args)
+    backward((out * Tensor(g)).sum())
+    return [out.data] + [t.grad.copy() for t in leaves]
+
+
+def assert_fused_matches(name, args, g):
+    fused = op_output_and_grads(FUSED[name], args, g)
+    ref = op_output_and_grads(UNFUSED[name], args, g)
+    assert len(fused) == len(ref)
+    for a, b in zip(fused, ref):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def graph_size(seed):
+    """Distinct tensors reachable from ``seed``, as perfbench counts a tape."""
+    seen, stack = {id(seed)}, [seed]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
+class TestFusedHeadsAndLosses:
+    @pytest.mark.parametrize("x_trains", [True, False])
+    def test_linear(self, x_trains):
+        rng = np.random.default_rng(40)
+        x = Tensor(rng.normal(size=(7, 5)), requires_grad=x_trains)
+        args = (x, leaf(rng, 3, 5), leaf(rng, 3))
+        assert_fused_matches("linear", args, rng.normal(size=(7, 3)))
+
+    def test_detect(self):
+        rng = np.random.default_rng(41)
+        features = leaf(rng, 9, 6, scale=3.0)
+        theta_y = DetectorParams(w=leaf(rng, 2, 6), b=leaf(rng, 2))
+        assert_fused_matches("detect", (features, theta_y), rng.normal(size=(9, 2)))
+
+    @pytest.mark.parametrize("x_trains", [True, False])
+    def test_discriminator_head(self, x_trains):
+        rng = np.random.default_rng(42)
+        features = rng.normal(size=(8, 6))
+        features[0] *= 1e3  # a row whose sigmoid saturates
+        features = Tensor(features, requires_grad=x_trains)
+        theta = DiscriminatorParams(leaf(rng, 5, 6), leaf(rng, 5), leaf(rng, 1, 5),
+                                    leaf(rng, 1))
+        assert_fused_matches("head", (features, theta), rng.normal(size=8))
+
+    def test_detection_loss_with_clamped_probabilities(self):
+        rng = np.random.default_rng(43)
+        p = rng.uniform(0.05, 0.95, size=6)
+        p[:2] = [0.0, 1.0]  # one label's probability clamps, one is exact
+        probs = Tensor(np.stack([p, 1.0 - p], axis=1), requires_grad=True)
+        labels = np.array([0, 0, 1, 0, 1, 1])
+        weights = rng.uniform(0.0, 1.0, size=6)
+        for g in (1.0, -0.7):
+            assert_fused_matches("detection_loss", (probs, labels, weights), np.array(g))
+
+    def test_event_loss_with_clamped_probabilities(self):
+        rng = np.random.default_rng(44)
+        src = rng.uniform(0.05, 0.95, size=5)
+        tgt = rng.uniform(0.05, 0.95, size=7)
+        src[:2] = [0.0, 1.0]  # log(0) clamps
+        tgt[:2] = [1.0, 0.0]  # log(1 - 1) clamps
+        src, tgt = Tensor(src, requires_grad=True), Tensor(tgt, requires_grad=True)
+        weights = rng.uniform(0.0, 1.0, size=5)
+        for g in (1.0, 0.7):
+            assert_fused_matches("event_loss", (src, tgt, weights), np.array(g))
+
+    @staticmethod
+    def training_step(monkeypatch, ops, lam=0.5, mu=0.7):
+        """``train``'s loop body on one batch, with the heads and losses of
+        ``ops``; the total loss and every trained tensor's gradient."""
+        monkeypatch.setattr(model, "linear", ops["linear"])  # inside extract_features
+        params = build_tiny_model(w_max=4)
+        ids_s, y_s, ids_t = random_batch(params, b_s=6, b_t=6)
+        feats = extract_features(np.concatenate([ids_s, ids_t]), params.theta_f,
+                                 rng=np.random.default_rng(5), dropout_rate=0.2)
+        feats_s, feats_t = split_rows(feats, len(ids_s))
+        head = ops["head"]
+        pe_s = head(feats_s.detach(), params.theta_pe)
+        l_pe = ops["event_loss"](pe_s, head(feats_t.detach(), params.theta_pe),
+                                 np.ones(len(ids_s)))
+        w = compute_weights(pe_s.data, gate_open=True)
+        l_yw = ops["detection_loss"](ops["detect"](feats_s, params.theta_y), y_s, w)
+        l_ew = ops["event_loss"](head(grl(feats_s, lam), params.theta_e),
+                                 head(grl(feats_t, lam), params.theta_e), w)
+        loss = total_loss(l_yw, l_pe, l_ew, mu)
+        backward(loss)
+        return loss, [t.grad.copy() for t in params.trainable_tensors()]
+
+    def test_training_step_gradients_are_bit_identical(self, monkeypatch):
+        loss, grads = self.training_step(monkeypatch, FUSED)
+        ref_loss, ref_grads = self.training_step(monkeypatch, UNFUSED)
+        assert len(grads) == len(ref_grads) == 21
+        assert np.array_equal(loss.data, ref_loss.data)
+        assert all(np.array_equal(a, b) for a, b in zip(grads, ref_grads))
+
+    def test_training_step_tape_size(self, monkeypatch):
+        loss, _ = self.training_step(monkeypatch, FUSED)
+        assert graph_size(loss) <= 45
+
+
+def record_returns(seed):
+    """Wrap every backward closure under ``seed`` to keep each array it
+    returns with a copy of it; the list of (array, copy) pairs."""
+    returned = []
+    seen, stack = set(), [seed]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        if node._backward is not None:
+            def wrapped(g, bwd=node._backward):
+                out = bwd(g)
+                returned.extend((a, np.array(a, copy=True)) for a in out
+                                if isinstance(a, np.ndarray))
+                return out
+            node._backward = wrapped
+    return returned
+
+
+class TestBackwardKeepsClosureArrays:
+    def test_one_array_to_two_parents(self):
+        # `shared` goes to p and to the leaf y; p then gets a second
+        # contribution, which must not be added into `shared`
+        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        y = Tensor(np.array([0.5, 0.5, 0.5]), requires_grad=True)
+        p = x * 1.0
+
+        def bwd(g):
+            shared = g * 2.0
+            return shared, shared
+
+        node = _op(p.data + y.data, (p, y), bwd)
+        seed = (node * Tensor(np.array([1.0, 2.0, 3.0]))).sum() + p.sum()
+        returned = record_returns(seed)
+        backward(seed)
+        assert y.grad.tolist() == [2.0, 4.0, 6.0]
+        assert x.grad.tolist() == [3.0, 5.0, 7.0]
+        assert returned and all(np.array_equal(a, c) for a, c in returned)
+
+    def test_three_contributions(self):
+        x = Tensor(np.array([[1.0, -1.0], [2.0, 0.5]]), requires_grad=True)
+        h = x * 1.0
+        seed = (h * 2.0).sum() + (h * 3.0).sum() + relu(h).sum()
+        returned = record_returns(seed)
+        backward(seed)
+        assert x.grad.tolist() == [[6.0, 5.0], [6.0, 6.0]]
+        assert returned and all(np.array_equal(a, c) for a, c in returned)
+
+
 def test_split_rows_gradients():
     x = Tensor(np.arange(10.0).reshape(5, 2), requires_grad=True)
     head, tail = split_rows(x, 2)
@@ -442,6 +681,8 @@ def test_only_leaves_hold_grad_buffers():
     hidden = relu(x * 2.0)
     out = hidden.sum()
     assert hidden.grad is None and out.grad is None
+    # constants and detached values never train, so hold no buffer
+    assert Tensor(np.ones(3)).grad is None and x.detach().grad is None
     assert np.array_equal(x.grad, np.zeros((2, 3)))
     backward(out)
     assert hidden.grad is None
@@ -468,8 +709,10 @@ class TestPrunedBackward:
         seed = relu(c).sum() + (x.detach() * 2.0).sum() + frozen_cnn.sum()
         assert not seed.requires_grad
         backward(seed)
-        for leaf in (x, c, table, *filters, *biases, *fixed):
+        for leaf in (x, *filters, *biases):
             assert not leaf.grad.any()
+        for leaf in (c, table, *fixed):  # no buffer where nothing trains
+            assert leaf.grad is None
 
     def test_frozen_table_skips_lookup_backward(self, monkeypatch):
         from helpers import analytic_model_grads, build_tiny_model, random_batch

@@ -285,7 +285,9 @@ class TestTrain:
             for tok in tokens[::2]))
         cfg = TrainConfig(epochs=2, batch_size=20, n_filters=4, w_max=3, seed=6,
                           pretrained_vectors=str(vectors), freeze_embeddings=frozen)
-        prepared = prepare(source, target, cfg)[2].data
+        table = prepare(source, target, cfg)[2]
+        assert (table.grad is None) == frozen  # a frozen table has no buffer
+        prepared = table.data
         params, _, _ = train(source, target, cfg)
         trained = params.theta_f.embedding.data
         assert np.array_equal(trained, prepared) == frozen
