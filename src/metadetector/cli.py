@@ -8,6 +8,7 @@ table where one exists.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -79,6 +80,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _outputs(*paths):
+    """Open the output paths given before the block runs, so an unwritable
+    one costs no run; if the block fails, remove the files this created."""
+    created = []
+    try:
+        for path in filter(None, paths):
+            existed = os.path.exists(path)
+            open(path, "ab").close()
+            if not existed:
+                created.append(path)
+        yield
+    except BaseException:
+        for path in created:
+            os.remove(path)
+        raise
+
+
 def _cmd_synth(args) -> int:
     spec = SynthSpec(n_source=args.n_source, n_target=args.n_target,
                      shared_vocab_size=args.shared_vocab,
@@ -119,25 +138,13 @@ def _cmd_train(args) -> int:
 
     source = load_corpus(args.source, role="source")
     target = load_corpus(args.target, role="target")
-    # the outputs are opened first, so a path that cannot be written costs no
-    # training run, and a run that fails before both are written removes the
-    # files it created; the checkpoint path takes the suffix np.savez appends
+    # the checkpoint path takes the suffix np.savez appends
     out = args.out if args.out.endswith(".npz") else args.out + ".npz"
-    created = []
-    try:
-        for path in filter(None, (out, args.history)):
-            existed = os.path.exists(path)
-            open(path, "ab").close()
-            if not existed:
-                created.append(path)
+    with _outputs(out, args.history):
         params, history, shift = train(source, target, config)
         save_checkpoint(params, out)
         if args.history:
             history_to_csv(history, args.history)
-    except BaseException:
-        for path in created:
-            os.remove(path)
-        raise
     last = history[-1]
     print(json.dumps({
         "checkpoint": out,
@@ -155,35 +162,37 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     params = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.corpus, role="target")
-    report = evaluate(params, corpus)
-    payload = json.dumps(report.to_dict())
+    with _outputs(args.out, args.csv):
+        report = evaluate(params, corpus)
+        payload = json.dumps(report.to_dict())
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        if args.csv:
+            with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["class", "precision", "recall", "f1",
+                                 "tp", "fp", "tn", "fn"])
+                for name, m in report.per_class.items():
+                    writer.writerow([name, m.precision, m.recall, m.f1,
+                                     m.tp, m.fp, m.tn, m.fn])
     print(payload)
     print(report.to_table(), file=sys.stderr)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["class", "precision", "recall", "f1",
-                             "tp", "fp", "tn", "fn"])
-            for name, m in report.per_class.items():
-                writer.writerow([name, m.precision, m.recall, m.f1,
-                                 m.tp, m.fp, m.tn, m.fn])
     return 0
 
 
 def _cmd_weights(args) -> int:
     params = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.corpus, role="source")
-    ranking = export_weights(params, corpus, top_n=args.top_n)
+    with _outputs(args.csv):
+        ranking = export_weights(params, corpus, top_n=args.top_n)
+        if args.csv:
+            with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["post_id", "weight", "pseudo_prob", "excerpt"])
+                for e in ranking.entries:
+                    writer.writerow([e.post_id, e.weight, e.pseudo_prob, e.excerpt])
     print(json.dumps(ranking.to_dict()))
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["post_id", "weight", "pseudo_prob", "excerpt"])
-            for e in ranking.entries:
-                writer.writerow([e.post_id, e.weight, e.pseudo_prob, e.excerpt])
     return 0
 
 

@@ -27,9 +27,6 @@ class ClassMetrics:
     fn: int
     zero_division: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class MetricsReport:

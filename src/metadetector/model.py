@@ -57,20 +57,11 @@ class FeatureExtractorParams:
     def n_filters(self) -> int:
         return self.filters[0].shape[0]
 
-    def tensors(self) -> list[Tensor]:
-        out = list(self.filters) + list(self.conv_biases) + [self.w_fc, self.b_fc]
-        if self.embedding.requires_grad:
-            out.append(self.embedding)
-        return out
-
 
 @dataclass
 class DetectorParams:
     w: Tensor  # (2, FEATURE_DIM)
     b: Tensor  # (2,)
-
-    def tensors(self) -> list[Tensor]:
-        return [self.w, self.b]
 
 
 @dataclass
@@ -79,9 +70,6 @@ class DiscriminatorParams:
     b1: Tensor
     w2: Tensor  # (1, hidden)
     b2: Tensor
-
-    def tensors(self) -> list[Tensor]:
-        return [self.w1, self.b1, self.w2, self.b2]
 
 
 @dataclass
@@ -94,10 +82,6 @@ class ModelParams:
     k: int
     seed: int
     config_snapshot: dict = field(default_factory=dict)
-
-    def trainable_tensors(self) -> list[Tensor]:
-        return (self.theta_f.tensors() + self.theta_y.tensors()
-                + self.theta_e.tensors() + self.theta_pe.tensors())
 
 
 def _disc_shapes(in_dim: int, hidden: int):
@@ -198,10 +182,6 @@ def pseudo_discriminate(features: Tensor, theta_pe: DiscriminatorParams) -> Tens
     return _discriminator_head(features.detach(), theta_pe)
 
 
-def count_parameters(params: ModelParams) -> int:
-    return sum(t.size for t in params.trainable_tensors())
-
-
 # -- checkpointing -------------------------------------------------------------
 
 _CHECKPOINT_VERSION = 1
@@ -217,10 +197,16 @@ def named_tensors(params: ModelParams) -> dict[str, Tensor]:
     the inverse of :func:`_assemble`."""
     f = params.theta_f
     tensors = [t for pair in zip(f.filters, f.conv_biases) for t in pair]
-    tensors += [f.w_fc, f.b_fc, f.embedding, *params.theta_y.tensors(),
-                *params.theta_e.tensors(), *params.theta_pe.tensors()]
+    tensors += [f.w_fc, f.b_fc, f.embedding, params.theta_y.w, params.theta_y.b]
+    tensors += [getattr(head, part) for head in (params.theta_e, params.theta_pe)
+                for part, _ in _disc_shapes(FEATURE_DIM, DISC_HIDDEN)]
     names = [name for name, _ in _array_shapes(*f.embedding.shape, f.w_max, f.n_filters)]
     return dict(zip(names, tensors, strict=True))
+
+
+def trained_tensors(params: ModelParams) -> dict[str, Tensor]:
+    """What trains: the :func:`named_tensors` entries with ``requires_grad`` set."""
+    return {name: t for name, t in named_tensors(params).items() if t.requires_grad}
 
 
 def _array_map(params: ModelParams) -> dict[str, np.ndarray]:

@@ -195,11 +195,11 @@ class _PretrainedTable(Tensor):
 
 def load_pretrained_vectors(path: str, vocab: Vocabulary, rng: np.random.Generator,
                             trainable: bool = True) -> Tensor:
-    """Textual word2vec format: header "N d", then lines "token v1 .. vd".
-
-    Vocabulary tokens found in the file take the file vectors; the rest are
-    random-initialized; PAD is forced to zero. Errors name ``path, line N``.
-    ``trainable`` is the table's ``requires_grad``.
+    """Textual word2vec format: header "N d", then lines "token v1 .. vd",
+    each of which may end in whitespace. Vocabulary tokens found in the file
+    take the file vectors; the rest are random-initialized; PAD is forced to
+    zero. Errors name ``path, line N``. ``trainable`` is the table's
+    ``requires_grad``.
     """
     lineno = 1
     with open(path, "rb") as fh:
@@ -220,7 +220,7 @@ def load_pretrained_vectors(path: str, vocab: Vocabulary, rng: np.random.Generat
                 raw = fh.readline()
                 if not raw:
                     raise ParseError(f"file ends before {n} vectors read")
-                fields = _decode(raw).rstrip("\n").split(" ")
+                fields = _decode(raw).rstrip().split(" ")
                 if len(fields) != dim + 1:
                     raise ParseError(
                         f"expected token + {dim} values, got {len(fields)} fields")

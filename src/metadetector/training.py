@@ -26,8 +26,8 @@ from .model import (
     discriminate_event,
     extract_features,
     init_model,
-    named_tensors,
     pseudo_discriminate,
+    trained_tensors,
 )
 from .text import (
     MAX_DIM,
@@ -309,8 +309,7 @@ def train(source: EventCorpus, target: EventCorpus,
     y_t = (np.array([p.label for p in target.posts], dtype=np.int64)
            if target_labeled else None)
 
-    # the run's one record of what it trains: checked, then stepped
-    named = {name: t for name, t in named_tensors(params).items() if t.requires_grad}
+    trained = trained_tensors(params)
     history: list[EpochRecord] = []
 
     for epoch in range(1, config.epochs + 1):
@@ -348,8 +347,8 @@ def train(source: EventCorpus, target: EventCorpus,
             n_batches += 1
 
             backward(total_loss(l_yw, l_pe, l_ew, config.mu))
-            _check_finite_grads(named, epoch)
-            sgd_step(named.values(), config.lr)
+            _check_finite_grads(trained, epoch)
+            sgd_step(trained.values(), config.lr)
 
             correct += int((probs.data.argmax(axis=1) == y_s[src_idx]).sum())
             wmin = min(wmin, float(w.min()))

@@ -12,6 +12,7 @@ from metadetector.model import (
     extract_features,
     init_model,
     pseudo_discriminate,
+    trained_tensors,
 )
 from metadetector.text import Vocabulary, random_table
 from metadetector.training import (
@@ -85,11 +86,11 @@ def forward_losses(params: ModelParams, ids_s, y_s, ids_t, lam, weights):
 def analytic_model_grads(params: ModelParams, ids_s, y_s, ids_t,
                          lam, mu, weights) -> dict[int, np.ndarray]:
     """Gradients of the training objective, keyed by id(tensor)."""
-    for t in params.trainable_tensors():
+    for t in trained_tensors(params).values():
         t.zero_grad()
     l_yw, l_pe, l_ew = forward_losses(params, ids_s, y_s, ids_t, lam, weights)
     backward(total_loss(l_yw, l_pe, l_ew, mu))
-    return {id(t): t.grad.copy() for t in params.trainable_tensors()}
+    return {id(t): t.grad.copy() for t in trained_tensors(params).values()}
 
 
 def block_objective(params: ModelParams, block: str, ids_s, y_s, ids_t,
@@ -112,10 +113,14 @@ def block_objective(params: ModelParams, block: str, ids_s, y_s, ids_t,
     raise ValueError(block)
 
 
+# first part of a trained tensor's layout name -> its parameter block
+BLOCK_OF = {"f": "theta_f", "embedding": "theta_f", "y": "theta_y",
+            "e": "theta_e", "pe": "theta_pe"}
+
+
 def model_blocks(params: ModelParams) -> dict[str, list[Tensor]]:
-    return {
-        "theta_f": params.theta_f.tensors(),
-        "theta_y": params.theta_y.tensors(),
-        "theta_e": params.theta_e.tensors(),
-        "theta_pe": params.theta_pe.tensors(),
-    }
+    """The trained tensors grouped by parameter block, in layout order."""
+    blocks: dict[str, list[Tensor]] = {}
+    for name, t in trained_tensors(params).items():
+        blocks.setdefault(BLOCK_OF[name.split("_")[0]], []).append(t)
+    return blocks

@@ -45,6 +45,7 @@ from metadetector.model import (
     extract_features,
     init_discriminator,
     pseudo_discriminate,
+    trained_tensors,
 )
 from metadetector.text import build_vocab, random_table
 from metadetector.training import (
@@ -118,7 +119,7 @@ def test_criterion_02_grl_contract():
 def test_criterion_03_pseudo_head_isolation():
     params = build_tiny_model()
     ids_s, _, ids_t = random_batch(params)
-    before = {id(t): t.data.copy() for t in params.trainable_tensors()}
+    before = {id(t): t.data.copy() for t in trained_tensors(params).values()}
 
     feats_s = extract_features(ids_s, params.theta_f)
     feats_t = extract_features(ids_t, params.theta_f)
@@ -126,14 +127,15 @@ def test_criterion_03_pseudo_head_isolation():
                                pseudo_discriminate(feats_t, params.theta_pe),
                                np.ones(len(ids_s)))
     backward(l_pe)
-    sgd_step(params.trainable_tensors(), lr=0.1)
+    sgd_step(trained_tensors(params).values(), lr=0.1)
 
+    blocks = model_blocks(params)
     frozen_ok = all(
         np.array_equal(before[id(t)], t.data)
         for block in ("theta_f", "theta_y", "theta_e")
-        for t in model_blocks(params)[block])
+        for t in blocks[block])
     pe_moved = any(not np.array_equal(before[id(t)], t.data)
-                   for t in params.theta_pe.tensors())
+                   for t in blocks["theta_pe"])
     report(3, frozen_ok and pe_moved,
            f"theta_f/theta_y/theta_e/embeddings bit-identical={frozen_ok}, "
            f"theta_pe updated={pe_moved}")
@@ -153,7 +155,7 @@ def test_criterion_04_optimal_discriminator():
         loss = loss_event_weighted(_discriminator_head(src, disc),
                                    _discriminator_head(tgt, disc), ones)
         backward(loss)
-        sgd_step(disc.tensors(), lr=0.5)
+        sgd_step([disc.w1, disc.b1, disc.w2, disc.b2], lr=0.5)
     out_a = _discriminator_head(Tensor(np.array([[a]])), disc).item()
     err = abs(out_a - 2.0 / 3.0)
     report(4, err <= 0.05, f"G_e(a)={out_a:.4f} vs 2/3 (|err|={err:.4f} <= 0.05)")

@@ -600,7 +600,7 @@ class TestFusedHeadsAndLosses:
                                  head(grl(feats_t, lam), params.theta_e), w)
         loss = total_loss(l_yw, l_pe, l_ew, mu)
         backward(loss)
-        return loss, [t.grad.copy() for t in params.trainable_tensors()]
+        return loss, [t.grad.copy() for t in model.trained_tensors(params).values()]
 
     def test_training_step_gradients_are_bit_identical(self, monkeypatch):
         loss, grads = self.training_step(monkeypatch, FUSED)
@@ -744,7 +744,7 @@ class TestPrunedBackward:
             calls.clear()
             g = analytic_model_grads(params, ids_s, y_s, ids_t, lam=0.5, mu=0.7,
                                      weights=np.full(len(ids_s), 0.6))
-            others = [t for t in params.trainable_tensors() if t is not table]
+            others = [t for t in model.trained_tensors(params).values() if t is not table]
             return [g[id(t)] for t in others], len(calls)
 
         trained, trained_calls = grads(True)

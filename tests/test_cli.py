@@ -257,6 +257,30 @@ def checkpoint(corpora, tmp_path_factory):
     return path
 
 
+@pytest.mark.parametrize("command, unwritable", [("eval", "out"), ("eval", "csv"),
+                                                 ("weights", "csv")])
+def test_scoring_refuses_an_unwritable_output_before_scoring(command, unwritable, capsys,
+                                                             corpora, checkpoint,
+                                                             tmp_path, monkeypatch):
+    from metadetector import cli
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("scored")
+
+    monkeypatch.setattr(cli, "evaluate", no_scoring)
+    monkeypatch.setattr(cli, "export_weights", no_scoring)
+    src, tgt = corpora
+    paths = {"out": str(tmp_path / "r.json"), "csv": str(tmp_path / "r.csv")}
+    paths[unwritable] = str(tmp_path / "missing" / "x")
+    outputs = ["--out", paths["out"]] if command == "eval" else []
+    code, out, err = run_cli(capsys, command, "--checkpoint", checkpoint,
+                             "--corpus", tgt if command == "eval" else src,
+                             *outputs, "--csv", paths["csv"])
+    assert code == 2 and paths[unwritable] in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_weights_top_n_zero_is_empty(capsys, corpora, checkpoint):
     src, _ = corpora
     code, out, _ = run_cli(capsys, "weights", "--checkpoint", checkpoint,

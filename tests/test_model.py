@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from metadetector.autodiff import Tensor, backward
 from metadetector.errors import CheckpointError, ConfigurationError
 from metadetector.model import (
-    count_parameters,
     detect,
     discriminate_event,
     extract_features,
@@ -18,6 +17,7 @@ from metadetector.model import (
     load_checkpoint,
     pseudo_discriminate,
     save_checkpoint,
+    trained_tensors,
     _array_map,
     _array_shapes,
     _discriminator_head,
@@ -37,8 +37,8 @@ class TestExtractFeatures:
 
     def test_zero_weights_zero_features(self):
         params = build_tiny_model()
-        for t in params.theta_f.tensors():
-            if t is not params.theta_f.embedding:
+        for name, t in trained_tensors(params).items():
+            if name.startswith("f_"):
                 t.data[...] = 0.0
         ids, _, _ = random_batch(params)
         feats = extract_features(ids, params.theta_f)
@@ -82,7 +82,7 @@ class TestDetect:
 class TestDiscriminators:
     def test_zero_head_gives_half(self):
         disc = init_discriminator(np.random.default_rng(0))
-        for t in disc.tensors():
+        for t in (disc.w1, disc.b1, disc.w2, disc.b2):
             t.data[...] = 0.0
         feats = Tensor(np.random.default_rng(1).normal(size=(5, 32)))
         assert np.allclose(discriminate_event(feats, disc, 1.0).data, 0.5)
@@ -115,10 +115,14 @@ class TestDiscriminators:
         assert np.allclose(with_grl.grad, -lam * plain.grad, atol=1e-10)
 
 
+def count_trained(params) -> int:
+    return sum(t.size for t in trained_tensors(params).values())
+
+
 class TestParameterCount:
     def test_count_is_pure_function_of_sizes(self):
-        a = count_parameters(build_tiny_model(seed=1))
-        b = count_parameters(build_tiny_model(seed=99))
+        a = count_trained(build_tiny_model(seed=1))
+        b = count_trained(build_tiny_model(seed=99))
         assert a == b
 
     def test_count_formula(self):
@@ -129,7 +133,17 @@ class TestParameterCount:
         det = 2 * 32 + 2
         disc = (32 * 32 + 32) + (32 + 1)
         expected = vs * d + conv + fc + det + 2 * disc
-        assert count_parameters(params) == expected
+        assert count_trained(params) == expected
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_trained_tensors_follow_the_layout(self, frozen):
+        params = build_tiny_model()
+        params.theta_f.embedding.requires_grad = not frozen
+        f = params.theta_f
+        layout = [name for name, _ in _array_shapes(*f.embedding.shape, f.w_max,
+                                                    f.n_filters)]
+        expected = [name for name in layout if not (frozen and name == "embedding")]
+        assert list(trained_tensors(params)) == expected
 
     def test_theta_e_and_theta_pe_distinct(self):
         params = build_tiny_model()
@@ -146,7 +160,8 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded.k == params.k
         assert loaded.vocab.token_to_id == params.vocab.token_to_id
-        for a, b in zip(params.trainable_tensors(), loaded.trainable_tensors()):
+        for a, b in zip(trained_tensors(params).values(),
+                        trained_tensors(loaded).values()):
             assert np.array_equal(a.data, b.data)
 
     def test_corrupt_vocab_rejected(self, tmp_path):

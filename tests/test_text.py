@@ -240,12 +240,16 @@ class TestPretrainedVectors:
     def test_exact_vectors_loaded(self, tmp_path):
         vocab = build_vocab([corpus_of(["a b"])])
         path = tmp_path / "vec.txt"
-        path.write_text("2 3\na 1 2 3\nb 4 5 6\n")
-        table = load_pretrained_vectors(str(path), vocab,
-                                        np.random.default_rng(0))
-        assert table.data[vocab.token_to_id["a"]].tolist() == [1, 2, 3]
-        assert table.data[vocab.token_to_id["b"]].tolist() == [4, 5, 6]
-        assert np.array_equal(table.data[PAD_ID], np.zeros(3))
+        # plain, then a space ending each vector line (as word2vec's C tool
+        # and fastText write them), then CRLF line ends
+        for data in (b"2 3\na 1 2 3\nb 4 5 6\n", b"2 3\na 1 2 3 \nb 4 5 6 \n",
+                     b"2 3\r\na 1 2 3\r\nb 4 5 6\r\n"):
+            path.write_bytes(data)
+            table = load_pretrained_vectors(str(path), vocab,
+                                            np.random.default_rng(0))
+            assert table.data[vocab.token_to_id["a"]].tolist() == [1, 2, 3]
+            assert table.data[vocab.token_to_id["b"]].tolist() == [4, 5, 6]
+            assert np.array_equal(table.data[PAD_ID], np.zeros(3))
 
     @pytest.mark.parametrize("trainable", [True, False])
     def test_trainable_sets_requires_grad(self, tmp_path, trainable):

@@ -319,9 +319,9 @@ class TestTrain:
 
     def test_isolation_pseudo_only_step(self):
         # mu > 0, lambda = 0, detector masked: only theta_pe may move
-        from metadetector.model import (detect, discriminate_event,
-                                        extract_features, pseudo_discriminate)
-        from helpers import build_tiny_model, random_batch
+        from metadetector.model import (detect, discriminate_event, extract_features,
+                                        pseudo_discriminate, trained_tensors)
+        from helpers import build_tiny_model, model_blocks, random_batch
 
         params = build_tiny_model()
         ids_s, y_s, ids_t = random_batch(params)
@@ -336,16 +336,17 @@ class TestTrain:
         # detector loss masked to zero weight
         l_yw = loss_detection_weighted(detect(feats_s, params.theta_y), y_s,
                                        np.zeros(len(ids_s)))
-        frozen = (params.theta_f.tensors() + params.theta_y.tensors())
+        blocks = model_blocks(params)
+        frozen = blocks["theta_f"] + blocks["theta_y"]
         before = [t.data.copy() for t in frozen]
-        e_before = [t.data.copy() for t in params.theta_e.tensors()]
-        pe_before = [t.data.copy() for t in params.theta_pe.tensors()]
+        e_before = [t.data.copy() for t in blocks["theta_e"]]
+        pe_before = [t.data.copy() for t in blocks["theta_pe"]]
         backward(total_loss(l_yw, l_pe, l_ew, mu=1.0))
-        sgd_step(params.trainable_tensors(), lr=0.1)
+        sgd_step(trained_tensors(params).values(), lr=0.1)
         # extractor, embeddings, detector: bit-identical (masked / zero gain)
         assert all(np.array_equal(t.data, b) for t, b in zip(frozen, before))
         assert not all(np.array_equal(t.data, b)
-                       for t, b in zip(params.theta_pe.tensors(), pe_before))
+                       for t, b in zip(blocks["theta_pe"], pe_before))
         # the event head still descends on its own loss above the reversal node
         assert not all(np.array_equal(t.data, b)
-                       for t, b in zip(params.theta_e.tensors(), e_before))
+                       for t, b in zip(blocks["theta_e"], e_before))
