@@ -9,9 +9,8 @@ primitives those fused ops are tested against, as the unfused embedding
 lookup, valid text convolution and max-over-time pooling stay for
 ``text_cnn``. Graphs are implicit tapes: each op output records its parent
 tensors and a backward closure, and :func:`backward` walks the tape in
-reverse topological order, accumulating gradients into the leaf tensors
-that require grad. No general broadcasting, no GPU, no higher-order
-derivatives.
+reverse topological order and hands each leaf tensor that requires grad its
+gradient. No general broadcasting, no GPU, no higher-order derivatives.
 """
 
 from __future__ import annotations
@@ -32,13 +31,14 @@ LOG_CLAMP = 1e-12  # probabilities are clamped here before any log
 
 
 class Tensor:
-    """Dense float64 array; a leaf that trains also holds a gradient buffer.
+    """Dense float64 array; ``grad`` is None until :func:`backward` reaches it.
 
-    A leaf (a tensor made by this constructor) that requires grad has
-    ``grad`` of the same shape as ``data``; gradients accumulate there
-    across successive :func:`backward` calls until :meth:`zero_grad`. Any
-    other tensor (a constant, a ``detach()`` output, an op output) has
-    ``grad = None``; an op output requires grad iff one of its inputs does.
+    A leaf (a tensor no op made) that requires grad gets ``grad``, of the
+    same shape as ``data``, from the first :func:`backward` that reaches it;
+    a later one adds to it out of place, until the caller resets it to None.
+    ``grad`` is read-only: :func:`backward` may hand one array to two leaves.
+    An op output never holds one, and requires grad iff one of its inputs
+    does.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -46,7 +46,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(self.data) if self.requires_grad else None
+        self.grad: Optional[np.ndarray] = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Optional[Callable[[np.ndarray], tuple]] = None
 
@@ -63,9 +63,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
 
     def detach(self) -> "Tensor":
         """Same values, cut from the graph (no gradient flows through)."""
@@ -154,10 +151,7 @@ def _as_tensor(x) -> Tensor:
 
 def _op(data: np.ndarray, parents: Sequence[Tensor],
         bwd: Callable[[np.ndarray], tuple]) -> Tensor:
-    out = Tensor.__new__(Tensor)  # no grad buffer: only leaves keep one
-    out.data = np.asarray(data, dtype=np.float64)
-    out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
     out._parents = tuple(parents)
     out._backward = bwd
     return out
@@ -461,13 +455,14 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def backward(seed: Tensor) -> None:
-    """Accumulate d(seed)/d(leaf) into every requires_grad leaf.
+    """Hand d(seed)/d(leaf) to every requires_grad leaf the seed reaches.
 
     ``seed`` must be scalar. Only nodes that require grad are visited, so a
     frozen embedding table and the ops on it are never differentiated.
-    Intermediate gradients are transient; leaf gradients accumulate across
-    calls until explicitly zeroed. A closure's returned arrays are kept as
-    they are and never written: a later contribution is added out of place.
+    Intermediate gradients are transient. A leaf with ``grad`` None takes
+    its gradient as a closure returned it; one that holds a gradient gets
+    the sum, so gradients add up across calls until the caller resets them.
+    A closure's returned arrays are never written: every sum is out of place.
     """
     if seed.size != 1:
         raise ContractError(f"backward seed must be scalar, got shape {seed.shape}")
@@ -492,7 +487,7 @@ def backward(seed: Tensor) -> None:
     for node in reversed(topo):
         g = grads.pop(id(node))
         if node._backward is None:
-            node.grad += g
+            node.grad = g if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if not parent.requires_grad:

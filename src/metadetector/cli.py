@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import fields, replace
 
 from .data_synth import SynthSpec, generate, inject_anomalies
 from .errors import MetaDetectorError
@@ -29,26 +29,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weighted adversarial event adaptation for fake-news detection")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # synth's and mmd's settings flags have no default: one left out keeps
+    # the dataclass default (see _given)
     p = sub.add_parser("synth", help="generate a synthetic two-event corpus pair")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out-source", required=True)
     p.add_argument("--out-target", required=True)
-    p.add_argument("--n-source", type=int, default=2000)
-    p.add_argument("--n-target", type=int, default=2000)
-    p.add_argument("--shift", type=float, default=0.5)
-    p.add_argument("--signal-strength", type=float, default=0.8)
-    p.add_argument("--fake-ratio", type=float, default=0.5)
-    p.add_argument("--post-length", type=int, default=20)
-    p.add_argument("--shared-vocab", type=int, default=200)
-    p.add_argument("--specific-vocab", type=int, default=200)
+    p.add_argument("--n-source", type=int)
+    p.add_argument("--n-target", type=int)
+    p.add_argument("--shift", type=float)
+    p.add_argument("--signal-strength", type=float)
+    p.add_argument("--fake-ratio", type=float)
+    p.add_argument("--post-length", type=int)
+    p.add_argument("--shared-vocab", dest="shared_vocab_size", metavar="SHARED_VOCAB",
+                   type=int)
+    p.add_argument("--specific-vocab", dest="specific_vocab_size",
+                   metavar="SPECIFIC_VOCAB", type=int)
     p.add_argument("--anomaly-fraction", type=float, default=0.0)
 
     p = sub.add_parser("mmd", help="shift report between two corpora")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--d-star", type=float, default=0.8)
-    p.add_argument("--embedding-dim", type=int, default=32)
+    p.add_argument("--d-star", type=float)
+    p.add_argument("--embedding-dim", type=int)
 
     p = sub.add_parser("train", help="train on a source/target corpus pair")
     p.add_argument("--seed", type=int, help="overrides the config's seed (default 0)")
@@ -98,15 +102,16 @@ def _outputs(*paths):
         raise
 
 
+def _given(args, cls) -> dict:
+    """The flags given (not None) that name a field of the dataclass ``cls``."""
+    return {f.name: getattr(args, f.name) for f in fields(cls)
+            if getattr(args, f.name, None) is not None}
+
+
 def _cmd_synth(args) -> int:
-    spec = SynthSpec(n_source=args.n_source, n_target=args.n_target,
-                     shared_vocab_size=args.shared_vocab,
-                     specific_vocab_size=args.specific_vocab,
-                     shift=args.shift, signal_strength=args.signal_strength,
-                     fake_ratio=args.fake_ratio, post_length=args.post_length,
-                     seed=args.seed)
+    spec = SynthSpec(**_given(args, SynthSpec))
     source, target = generate(spec)
-    source = inject_anomalies(source, args.anomaly_fraction, seed=args.seed + 1, spec=spec)
+    source = inject_anomalies(source, args.anomaly_fraction, seed=spec.seed + 1, spec=spec)
     save_corpus(source, args.out_source)
     save_corpus(target, args.out_target)
     print(json.dumps({"n_source": len(source), "n_target": len(target),
@@ -118,8 +123,7 @@ def _cmd_synth(args) -> int:
 def _cmd_mmd(args) -> int:
     source = load_corpus(args.source, role="source")
     target = load_corpus(args.target, role="target")
-    config = TrainConfig(seed=args.seed, d_star=args.d_star,
-                         embedding_dim=args.embedding_dim)
+    config = TrainConfig(**_given(args, TrainConfig))
     _, _, _, report = prepare(source, target, config)
     print(json.dumps(report.to_dict()))
     return 0
@@ -127,14 +131,11 @@ def _cmd_mmd(args) -> int:
 
 def _cmd_train(args) -> int:
     config = TrainConfig.from_file(args.config) if args.config else TrainConfig()
-    overrides = {"lambda_": args.lambda_, "mu": args.mu, "d_star": args.d_star,
-                 "epochs": args.epochs, "lr": args.lr,
-                 "batch_size": args.batch_size, "seed": args.seed}
+    overrides = _given(args, TrainConfig)
     if args.weighting is not None:
         overrides["weighting_override"] = {
             "auto": "auto", "on": "always_on", "off": "always_off"}[args.weighting]
-    replacements = {k: v for k, v in overrides.items() if v is not None}
-    config = TrainConfig(**{**asdict(config), **replacements})
+    config = replace(config, **overrides)
 
     source = load_corpus(args.source, role="source")
     target = load_corpus(args.target, role="target")

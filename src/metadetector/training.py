@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -235,10 +235,12 @@ def make_batches(n_source: int, n_target: int, batch_size: int,
 
 
 def sgd_step(tensors: Iterable[Tensor], lr: float) -> None:
-    """Plain SGD update of every tensor given, then zero the gradients."""
+    """Plain SGD update of every tensor given that holds a gradient, which
+    is then reset to None."""
     for t in tensors:
-        t.data -= lr * t.grad
-        t.zero_grad()
+        if t.grad is not None:
+            t.data -= lr * t.grad
+            t.grad = None
 
 
 # -- training loop ---------------------------------------------------------
@@ -283,8 +285,8 @@ def prepare(source: EventCorpus, target: EventCorpus, config: TrainConfig
         table = load_pretrained_vectors(config.pretrained_vectors, vocab, emb_rng)
     else:
         table = random_table(len(vocab), config.embedding_dim, emb_rng)
-    if config.freeze_embeddings:  # a frozen table keeps no gradient buffer
-        table.requires_grad, table.grad = False, None
+    if config.freeze_embeddings:
+        table.requires_grad = False
     shift = shift_gate(source, target, vocab, table, d_star=config.d_star)
     return vocab, k, table, shift
 
@@ -380,7 +382,5 @@ def history_to_csv(history: list[EpochRecord], path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(HISTORY_COLUMNS)
-        for rec in history:
-            row = [getattr(rec, c) for c in HISTORY_COLUMNS]
-            writer.writerow(["" if v is None else repr(v) if isinstance(v, float) else v
-                             for v in row])
+        # csv writes None as "" and a float by its repr
+        writer.writerows(astuple(rec) for rec in history)

@@ -87,7 +87,7 @@ def analytic_model_grads(params: ModelParams, ids_s, y_s, ids_t,
                          lam, mu, weights) -> dict[int, np.ndarray]:
     """Gradients of the training objective, keyed by id(tensor)."""
     for t in trained_tensors(params).values():
-        t.zero_grad()
+        t.grad = None
     l_yw, l_pe, l_ew = forward_losses(params, ids_s, y_s, ids_t, lam, weights)
     backward(total_loss(l_yw, l_pe, l_ew, mu))
     return {id(t): t.grad.copy() for t in trained_tensors(params).values()}

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import shlex
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from metadetector.cli import main
+from metadetector.cli import build_parser, main
 from metadetector.model import vocab_hash
 from metadetector.text import Vocabulary, load_corpus
 
@@ -53,6 +54,46 @@ def test_mmd_self_comparison(capsys, corpora):
     report = json.loads(out)
     assert report["d_k"] < 1e-6
     assert report["gate_open"] is False
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_settings_flags_left_out_keep_the_dataclass_defaults(corpora, tmp_path,
+                                                            monkeypatch):
+    from metadetector import cli
+    from metadetector.data_synth import SynthSpec
+    from metadetector.training import TrainConfig
+
+    seen = []
+
+    def capture(*args):  # the settings are the last argument
+        seen.append(args[-1])
+        raise _Stop
+
+    monkeypatch.setattr(cli, "generate", capture)
+    monkeypatch.setattr(cli, "prepare", capture)
+    src, tgt = corpora
+    for argv in (["synth", "--out-source", str(tmp_path / "s.jsonl"),
+                  "--out-target", str(tmp_path / "t.jsonl")],
+                 ["mmd", "--source", src, "--target", tgt]):
+        with pytest.raises(_Stop):
+            main(argv)
+    assert seen == [SynthSpec(), TrainConfig()]
+
+
+def test_readme_walkthrough_parses():
+    """Each command of the README's CLI walkthrough, continuation lines
+    joined, is one the parser accepts."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI walkthrough", 1)[1].split("```bash\n", 1)[1]
+    lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("metadetector ")]
+    assert [argv[1] for argv in commands] == ["synth", "mmd", "train", "eval", "weights"]
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
 
 
 def test_train_eval_weights_roundtrip(capsys, corpora, tmp_path):

@@ -15,6 +15,7 @@ from metadetector.model import (
     extract_features,
     init_discriminator,
     load_checkpoint,
+    named_tensors,
     pseudo_discriminate,
     save_checkpoint,
     trained_tensors,
@@ -163,6 +164,16 @@ class TestCheckpoint:
         for a, b in zip(trained_tensors(params).values(),
                         trained_tensors(loaded).values()):
             assert np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_loaded_tensors_hold_no_gradient(self, frozen, tmp_path):
+        params = build_tiny_model()
+        params.theta_f.embedding.requires_grad = not frozen
+        path = str(tmp_path / "model.npz")
+        save_checkpoint(params, path)
+        loaded = named_tensors(load_checkpoint(path))
+        assert loaded["embedding"].requires_grad != frozen
+        assert all(t.grad is None for t in loaded.values())
 
     def test_corrupt_vocab_rejected(self, tmp_path):
         params = build_tiny_model()

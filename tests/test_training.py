@@ -189,10 +189,10 @@ class TestMakeBatches:
 class TestSgdStep:
     def test_update_arithmetic(self):
         t = Tensor([1.0], requires_grad=True)
-        t.grad[0] = 0.5
+        t.grad = np.array([0.5])
         sgd_step([t], lr=0.01)
         assert t.data[0] == pytest.approx(0.995)
-        assert t.grad[0] == 0.0
+        assert t.grad is None
 
     def test_zero_grad_no_change(self):
         t = Tensor([2.0], requires_grad=True)
@@ -286,7 +286,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=2, batch_size=20, n_filters=4, w_max=3, seed=6,
                           pretrained_vectors=str(vectors), freeze_embeddings=frozen)
         table = prepare(source, target, cfg)[2]
-        assert (table.grad is None) == frozen  # a frozen table has no buffer
+        assert table.requires_grad != frozen and table.grad is None
         prepared = table.data
         params, _, _ = train(source, target, cfg)
         trained = params.theta_f.embedding.data
@@ -296,6 +296,42 @@ class TestTrain:
         loaded = load_checkpoint(ckpt).theta_f.embedding
         assert loaded.requires_grad == (not frozen)
         assert np.array_equal(loaded.data, trained)
+
+    def test_prepare_freezes_a_pretrained_table_without_a_gradient_array(
+            self, tmp_path, monkeypatch):
+        """Up to the shift gate, ``prepare`` with a frozen 16k x 32 pretrained
+        table frees less than half a |V| x d array: it made no second one."""
+        import tracemalloc
+
+        from metadetector import training
+        from metadetector.text import EventCorpus, Post
+
+        texts = [" ".join(f"w{i}" for i in range(j, j + 200)) for j in range(0, 16_000, 200)]
+        source, target = (
+            EventCorpus(event, [Post(f"{event}{i}", t, i % 2, event)
+                                for i, t in enumerate(half)], role=event)
+            for event, half in (("source", texts[:40]), ("target", texts[40:])))
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("2 32\n" + "".join(f"w{i}" + " 0.5" * 32 + "\n" for i in range(2)))
+        cfg = TrainConfig(pretrained_vectors=str(vectors), freeze_embeddings=True)
+        at_gate = []
+        gate = training.shift_gate
+
+        def measured_gate(*args, **kwargs):
+            at_gate.extend(tracemalloc.get_traced_memory())  # (current, peak)
+            return gate(*args, **kwargs)
+
+        monkeypatch.setattr(training, "shift_gate", measured_gate)
+        for corpus in (source, target):
+            corpus.tokens  # tokenized before the count starts
+        tracemalloc.start()
+        try:
+            table = training.prepare(source, target, cfg)[2]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (16_002, 32) and not table.requires_grad
+        current, peak = at_gate
+        assert peak - current < table.data.nbytes // 2
 
     def test_history_csv(self, run, tmp_path):
         _, history, _ = run
