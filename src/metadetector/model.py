@@ -209,6 +209,15 @@ def trained_tensors(params: ModelParams) -> dict[str, Tensor]:
     return {name: t for name, t in named_tensors(params).items() if t.requires_grad}
 
 
+def snapshot(params: ModelParams) -> ModelParams:
+    """``params`` with a copy of each trained array, to read while the
+    originals train on; a tensor that does not train is shared."""
+    tensors = {name: Tensor(t.data.copy(), requires_grad=True) if t.requires_grad else t
+               for name, t in named_tensors(params).items()}
+    return _assemble(tensors, tensors["embedding"], params.vocab, params.k,
+                     params.seed, params.config_snapshot)
+
+
 def _array_map(params: ModelParams) -> dict[str, np.ndarray]:
     return {name: t.data for name, t in named_tensors(params).items()}
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
 from typing import Iterable, Iterator, Optional
 
@@ -27,6 +28,7 @@ from .model import (
     extract_features,
     init_model,
     pseudo_discriminate,
+    snapshot,
     trained_tensors,
 )
 from .text import (
@@ -291,9 +293,26 @@ def prepare(source: EventCorpus, target: EventCorpus, config: TrainConfig
     return vocab, k, table, shift
 
 
+def _accuracy(params: ModelParams, ids: np.ndarray,
+              labels: Optional[np.ndarray]) -> Optional[float]:
+    """Share of the rows of ``ids`` predicted as ``labels``; None without labels."""
+    if labels is None:
+        return None
+    return int((predict(params, ids) == labels).sum()) / len(labels)
+
+
 def train(source: EventCorpus, target: EventCorpus,
           config: TrainConfig) -> tuple[ModelParams, list[EpochRecord], ShiftReport]:
-    """Full adversarial training run; deterministic given ``config.seed``."""
+    """Full adversarial training run; deterministic given ``config.seed``.
+
+    Each epoch's target accuracy is computed on one worker thread, from a
+    copy of that epoch's trained arrays (:func:`model.snapshot`), while the
+    next epoch trains; one is in flight at a time, and the last is waited
+    for. A run uses at most two Python threads, and its outputs are the
+    same as those of computing each accuracy in turn: the evaluation draws
+    from no generator. The worker has stopped when ``train`` returns or
+    raises, and an exception on it is raised here as it was.
+    """
     for post in source.posts:
         if post.label is None:
             raise ContractError(f"source post {post.id!r} is unlabeled")
@@ -307,70 +326,75 @@ def train(source: EventCorpus, target: EventCorpus,
     ids_s = encode(source, vocab, k)
     y_s = np.array([p.label for p in source.posts], dtype=np.int64)
     ids_t = encode(target, vocab, k)
-    target_labeled = all(p.label is not None for p in target.posts)
     y_t = (np.array([p.label for p in target.posts], dtype=np.int64)
-           if target_labeled else None)
+           if all(p.label is not None for p in target.posts) else None)
 
     trained = trained_tensors(params)
     history: list[EpochRecord] = []
+    pending = None  # the last epoch's record fields and its target accuracy
 
-    for epoch in range(1, config.epochs + 1):
-        sums = {"yw": 0.0, "ew": 0.0, "pe": 0.0}
-        n_batches = 0
-        correct = 0
-        wmin, wmax, wsum, wcount = math.inf, -math.inf, 0.0, 0
+    def collect() -> None:
+        values, accuracy = pending
+        history.append(EpochRecord(**values, target_accuracy=accuracy.result()))
 
-        for src_idx, tgt_idx in make_batches(len(source), len(target),
-                                             config.batch_size, batch_rng):
-            # one extractor pass over the joint batch; the dropout draw over
-            # (2 * half) rows equals a source draw followed by a target draw
-            feats = extract_features(
-                np.concatenate([ids_s[src_idx], ids_t[tgt_idx]]), params.theta_f,
-                rng=drop_rng, dropout_rate=config.dropout)
-            feats_s, feats_t = split_rows(feats, len(src_idx))
+    # the block joins the worker however the run ends
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for epoch in range(1, config.epochs + 1):
+            sums = {"yw": 0.0, "ew": 0.0, "pe": 0.0}
+            n_batches = 0
+            correct = 0
+            wmin, wmax, wsum, wcount = math.inf, -math.inf, 0.0, 0
 
-            pe_s = pseudo_discriminate(feats_s, params.theta_pe)
-            pe_t = pseudo_discriminate(feats_t, params.theta_pe)
-            l_pe = loss_pseudo(pe_s, pe_t)
+            for src_idx, tgt_idx in make_batches(len(source), len(target),
+                                                 config.batch_size, batch_rng):
+                # one extractor pass over the joint batch; the dropout draw over
+                # (2 * half) rows equals a source draw followed by a target draw
+                feats = extract_features(
+                    np.concatenate([ids_s[src_idx], ids_t[tgt_idx]]), params.theta_f,
+                    rng=drop_rng, dropout_rate=config.dropout)
+                feats_s, feats_t = split_rows(feats, len(src_idx))
 
-            w = compute_weights(pe_s.data, shift.gate_open,
-                                config.weighting_override)
+                pe_s = pseudo_discriminate(feats_s, params.theta_pe)
+                pe_t = pseudo_discriminate(feats_t, params.theta_pe)
+                l_pe = loss_pseudo(pe_s, pe_t)
 
-            probs = detect(feats_s, params.theta_y)
-            l_yw = loss_detection_weighted(probs, y_s[src_idx], w)
+                w = compute_weights(pe_s.data, shift.gate_open,
+                                    config.weighting_override)
 
-            e_s = discriminate_event(feats_s, params.theta_e, config.lambda_)
-            e_t = discriminate_event(feats_t, params.theta_e, config.lambda_)
-            l_ew = loss_event_weighted(e_s, e_t, w)
+                probs = detect(feats_s, params.theta_y)
+                l_yw = loss_detection_weighted(probs, y_s[src_idx], w)
 
-            sums["yw"] += _check_finite("detection loss", l_yw.item(), epoch)
-            sums["ew"] += _check_finite("event loss", l_ew.item(), epoch)
-            sums["pe"] += _check_finite("pseudo loss", l_pe.item(), epoch)
-            n_batches += 1
+                e_s = discriminate_event(feats_s, params.theta_e, config.lambda_)
+                e_t = discriminate_event(feats_t, params.theta_e, config.lambda_)
+                l_ew = loss_event_weighted(e_s, e_t, w)
 
-            backward(total_loss(l_yw, l_pe, l_ew, config.mu))
-            _check_finite_grads(trained, epoch)
-            sgd_step(trained.values(), config.lr)
+                sums["yw"] += _check_finite("detection loss", l_yw.item(), epoch)
+                sums["ew"] += _check_finite("event loss", l_ew.item(), epoch)
+                sums["pe"] += _check_finite("pseudo loss", l_pe.item(), epoch)
+                n_batches += 1
 
-            correct += int((probs.data.argmax(axis=1) == y_s[src_idx]).sum())
-            wmin = min(wmin, float(w.min()))
-            wmax = max(wmax, float(w.max()))
-            wsum += float(w.sum())
-            wcount += len(w)
+                backward(total_loss(l_yw, l_pe, l_ew, config.mu))
+                _check_finite_grads(trained, epoch)
+                sgd_step(trained.values(), config.lr)
 
-        target_acc = (int((predict(params, ids_t) == y_t).sum()) / len(y_t)
-                      if target_labeled else None)
-        history.append(EpochRecord(
-            epoch=epoch,
-            loss_detection=sums["yw"] / n_batches,
-            loss_event=sums["ew"] / n_batches,
-            loss_pseudo=sums["pe"] / n_batches,
-            source_accuracy=correct / wcount,
-            target_accuracy=target_acc,
-            weight_mean=wsum / wcount,
-            weight_min=wmin,
-            weight_max=wmax,
-        ))
+                correct += int((probs.data.argmax(axis=1) == y_s[src_idx]).sum())
+                wmin = min(wmin, float(w.min()))
+                wmax = max(wmax, float(w.max()))
+                wsum += float(w.sum())
+                wcount += len(w)
+
+            if pending is not None:
+                collect()
+            pending = (dict(epoch=epoch,
+                            loss_detection=sums["yw"] / n_batches,
+                            loss_event=sums["ew"] / n_batches,
+                            loss_pseudo=sums["pe"] / n_batches,
+                            source_accuracy=correct / wcount,
+                            weight_mean=wsum / wcount,
+                            weight_min=wmin,
+                            weight_max=wmax),
+                       pool.submit(_accuracy, snapshot(params), ids_t, y_t))
+        collect()
 
     return params, history, shift
 

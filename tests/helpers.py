@@ -124,3 +124,28 @@ def model_blocks(params: ModelParams) -> dict[str, list[Tensor]]:
     for name, t in trained_tensors(params).items():
         blocks.setdefault(BLOCK_OF[name.split("_")[0]], []).append(t)
     return blocks
+
+
+def nan_gradient_at(monkeypatch, step: int, found=None) -> None:
+    """Make ``training.train``'s ``step``-th backward (from 1) leave a NaN in
+    the detector bias gradient, then set the event ``found`` if given."""
+    from metadetector import training
+
+    init, real_backward = training.init_model, training.backward
+    model, steps = [], [0]
+
+    def capture_init(*args, **kwargs):
+        model.append(init(*args, **kwargs))
+        return model[-1]
+
+    def nan_backward(seed):
+        real_backward(seed)
+        steps[0] += 1
+        if steps[0] == step:
+            bias = model[-1].theta_y.b
+            bias.grad = np.where(np.arange(bias.grad.size) == 1, np.nan, bias.grad)
+            if found is not None:
+                found.set()
+
+    monkeypatch.setattr(training, "init_model", capture_init)
+    monkeypatch.setattr(training, "backward", nan_backward)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import shlex
+import threading
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from metadetector.cli import build_parser, main
 from metadetector.model import vocab_hash
 from metadetector.text import Vocabulary, load_corpus
+from helpers import nan_gradient_at
 
 
 def run_cli(capsys, *argv):
@@ -280,6 +282,29 @@ def test_failed_run_removes_only_the_outputs_it_created(failing, capsys, corpora
     assert code == 2 and "No space left" in err
     assert [p.name for p in tmp_path.iterdir()] == ["h.csv"]
     assert history.read_text() == "earlier run\n"
+
+
+@pytest.mark.parametrize("failure", ["evaluation", "gradient"])
+def test_a_run_failing_during_training_leaves_no_thread_or_output(failure, capsys, corpora,
+                                                                  tmp_path, monkeypatch):
+    from metadetector import training
+
+    if failure == "evaluation":
+        def fail(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(training, "predict", fail)
+    else:  # 80 + 80 posts in batches of 20 take 8 steps an epoch
+        nan_gradient_at(monkeypatch, 10)
+    src, tgt = corpora
+    threads = threading.active_count()
+    code, _, err = run_cli(capsys, "train", "--source", src, "--target", tgt,
+                           "--out", str(tmp_path / "m"), "--history", str(tmp_path / "h.csv"),
+                           "--epochs", "3", "--batch-size", "20")
+    assert code == 2
+    assert ("No space left" if failure == "evaluation" else "non-finite gradient") in err
+    assert list(tmp_path.iterdir()) == []
+    assert threading.active_count() == threads
 
 
 GOOD_POST = {"id": "p0", "text": "some words here", "label": 1, "event": "ev"}

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from metadetector.training import (
     total_loss,
     train,
 )
+from helpers import nan_gradient_at
 
 LN2 = math.log(2.0)
 
@@ -386,3 +388,102 @@ class TestTrain:
         # the event head still descends on its own loss above the reversal node
         assert not all(np.array_equal(t.data, b)
                        for t, b in zip(blocks["theta_e"], e_before))
+
+
+class TestOverlappedEvaluation:
+    """An epoch's target accuracy is computed on a worker while the next
+    epoch trains; 60 + 60 posts in batches of 20 take 6 steps an epoch."""
+
+    STEPS = 6
+    CONFIG = dict(batch_size=20, embedding_dim=8, n_filters=4, lr=0.3, seed=3)
+
+    @pytest.fixture(scope="class")
+    def corpora(self):
+        return generate(SynthSpec(n_source=60, n_target=60, post_length=8, seed=2))
+
+    def test_a_lagging_evaluation_reads_its_own_epochs_parameters(self, corpora,
+                                                                  monkeypatch):
+        from metadetector import training
+        from metadetector.evaluation import predict
+        from metadetector.model import _array_map
+
+        source, target = corpora
+        labels = np.array([p.label for p in target.posts])
+        # epoch e's parameters are those an e-epoch run ends with
+        expected = {}
+        for e in (1, 2, 3):
+            params, history, _ = train(source, target, TrainConfig(epochs=e, **self.CONFIG))
+            ids_t = text.encode(target, params.vocab, params.k)
+            accuracy = float((predict(params, ids_t) == labels).mean())
+            assert history[-1].target_accuracy == accuracy
+            expected[e] = (_array_map(params), accuracy)
+
+        steps = [0]
+        stepped = threading.Condition()
+        seen = {}
+
+        def counted_step(*args, **kwargs):
+            sgd_step(*args, **kwargs)
+            with stepped:
+                steps[0] += 1
+                stepped.notify_all()
+
+        def lagging_predict(params, ids):
+            epoch = len(seen) + 1
+            if epoch < 3:  # wait for a step of the next epoch
+                with stepped:
+                    waited = stepped.wait_for(lambda: steps[0] > epoch * self.STEPS,
+                                              timeout=20)
+            else:
+                waited = True
+            seen[epoch] = (waited, {n: a.copy() for n, a in _array_map(params).items()})
+            return predict(params, ids)
+
+        monkeypatch.setattr(training, "sgd_step", counted_step)
+        monkeypatch.setattr(training, "predict", lagging_predict)
+        _, history, _ = train(source, target, TrainConfig(epochs=3, **self.CONFIG))
+        assert [seen[e][0] for e in (1, 2, 3)] == [True, True, True]
+        for e in (1, 2, 3):
+            arrays, accuracy = expected[e]
+            assert all(np.array_equal(seen[e][1][n], a) for n, a in arrays.items())
+            assert history[e - 1].target_accuracy == accuracy
+
+    def test_a_failing_evaluation_is_raised_after_the_worker_ends(self, corpora,
+                                                                  monkeypatch):
+        from metadetector import training
+
+        failure = RuntimeError("evaluation failed")
+
+        def failing_predict(params, ids):
+            raise failure
+
+        monkeypatch.setattr(training, "predict", failing_predict)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            train(*corpora, TrainConfig(epochs=3, **self.CONFIG))
+        assert raised.value is failure
+        assert threading.active_count() == threads
+
+    def test_a_non_finite_gradient_waits_for_the_evaluation_in_flight(self, corpora,
+                                                                      monkeypatch):
+        from metadetector import training
+
+        nan_set, finished = threading.Event(), []
+        real_predict = training.predict
+
+        def slow_predict(params, ids):  # still running when the NaN is found
+            waited = nan_set.wait(timeout=20)
+            out = real_predict(params, ids)
+            finished.append((waited, threading.current_thread()))
+            return out
+
+        monkeypatch.setattr(training, "predict", slow_predict)
+        nan_gradient_at(monkeypatch, self.STEPS + 2, nan_set)
+        threads = threading.active_count()
+        with pytest.raises(NumericalError, match="at epoch 2"):
+            train(*corpora, TrainConfig(epochs=3, **self.CONFIG))
+        [(waited, worker)] = finished
+        assert waited and worker is not threading.current_thread()
+        assert not worker.is_alive()
+        assert threading.active_count() == threads
+
