@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -12,8 +12,12 @@ from .model import ModelParams, detect, extract_features, pseudo_discriminate
 from .text import EventCorpus, encode
 
 CLASS_NAMES = {0: "fake", 1: "real"}
-# rows per extractor pass at inference
-FORWARD_CHUNK = 500
+# Inference runs the extractor on each block of FORWARD_BLOCK rows in two
+# chunks, cut after FORWARD_CHUNK rows (see _chunks); evaluate and
+# export_weights run two chunks at once, each holding about 10 MB of
+# temporaries.
+FORWARD_BLOCK = 500
+FORWARD_CHUNK = 256
 
 
 @dataclass
@@ -79,28 +83,69 @@ def metrics_from_predictions(predictions: np.ndarray,
     return MetricsReport(accuracy=accuracy, n_evaluated=n, per_class=per_class)
 
 
-def forward(params: ModelParams, ids: np.ndarray):
-    """Extractor features of an (n, k) id matrix, FORWARD_CHUNK rows at a time, dropout off."""
-    for start in range(0, len(ids), FORWARD_CHUNK):
-        yield extract_features(ids[start:start + FORWARD_CHUNK], params.theta_f)
+def _chunks(n: int) -> list[slice]:
+    """Row ranges over ``n`` rows, in order: each block of FORWARD_BLOCK rows
+    cut in two after FORWARD_CHUNK rows, unless that leaves one row.
+
+    The scores are bit for bit those of one pass per block. A BLAS product
+    takes the rows in groups, of a power of two, and the rows left over at
+    the end of a pass by another path, whose sums may differ in the last
+    bit. A cut at 256 rows leaves none over in the first part, and the same
+    rows over in the second as in the block. A one-row pass multiplies on
+    the matrix-vector path, so no cut leaves one row.
+    """
+    starts = [start for block in range(0, n, FORWARD_BLOCK)
+              for start in (block, block + FORWARD_CHUNK)
+              if start == block or n - start >= 2]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _map_chunks(params: ModelParams, ids: np.ndarray, head, mapper=map):
+    """``head(features, params)`` of each chunk of an (n, k) id matrix, in
+    chunk order, dropout off; ``mapper`` runs the chunks."""
+    def run(rows: slice):
+        return head(extract_features(ids[rows], params.theta_f), params)
+
+    return mapper(run, _chunks(len(ids)))
+
+
+def _classes(feats, params: ModelParams) -> np.ndarray:
+    return detect(feats, params.theta_y).data.argmax(axis=1)
+
+
+def _pseudo_probs(feats, params: ModelParams) -> np.ndarray:
+    return pseudo_discriminate(feats, params.theta_pe).data
+
+
+def _on_two_threads(params: ModelParams, ids: np.ndarray, head) -> np.ndarray:
+    """The chunks of ``_map_chunks`` on two threads, joined in chunk order.
+
+    An exception in a chunk is raised here as it was, once both threads
+    have stopped.
+    """
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return np.concatenate(list(_map_chunks(params, ids, head, pool.map)))
 
 
 def _forward_chunks(params: ModelParams, corpus: EventCorpus):
-    yield from forward(params, encode(corpus, params.vocab, params.k))
+    """Extractor features of each chunk of an encoded corpus, in order."""
+    return _map_chunks(params, encode(corpus, params.vocab, params.k),
+                       lambda feats, _: feats)
 
 
 def predict(params: ModelParams, ids: np.ndarray) -> np.ndarray:
-    """Argmax detector class of each row of an (n, k) id matrix."""
-    return np.concatenate([detect(feats, params.theta_y).data.argmax(axis=1)
-                           for feats in forward(params, ids)])
+    """Argmax detector class of each row of an (n, k) id matrix, one chunk
+    after another on the calling thread."""
+    return np.concatenate(list(_map_chunks(params, ids, _classes)))
 
 
 def evaluate(params: ModelParams, test: EventCorpus) -> MetricsReport:
-    """Argmax predictions over a fully labeled corpus, dropout off."""
+    """Argmax predictions over a fully labeled corpus, dropout off, the
+    chunks scored on two threads."""
     for post in test.posts:
         if post.label is None:
             raise ContractError(f"test post {post.id!r} is unlabeled")
-    preds = predict(params, encode(test, params.vocab, params.k))
+    preds = _on_two_threads(params, encode(test, params.vocab, params.k), _classes)
     labels = np.array([p.label for p in test.posts], dtype=np.int64)
     return metrics_from_predictions(preds, labels)
 
@@ -131,17 +176,16 @@ class WeightRanking:
 
 def export_weights(params: ModelParams, source: EventCorpus,
                    top_n: int = 10) -> WeightRanking:
-    """Rank source posts by w = 1 - w_hat, ties broken by post id.
+    """Rank source posts by w = 1 - w_hat, ties broken by post id; w_hat is
+    scored chunk by chunk on two threads.
 
     ``top`` and ``bottom`` hold the ``top_n`` highest and lowest (both
     empty for 0); a negative ``top_n`` raises ConfigurationError.
     """
     if top_n < 0:
         raise ConfigurationError(f"top_n must be >= 0, got {top_n}")
-    probs = []
-    for feats in _forward_chunks(params, source):
-        probs.append(pseudo_discriminate(feats, params.theta_pe).data)
-    w_hat = np.concatenate(probs)
+    w_hat = _on_two_threads(params, encode(source, params.vocab, params.k),
+                            _pseudo_probs)
     entries = [WeightEntry(post_id=p.id, excerpt=p.text[:60],
                            weight=float(1.0 - w), pseudo_prob=float(w))
                for p, w in zip(source.posts, w_hat)]

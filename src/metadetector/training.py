@@ -198,8 +198,10 @@ def loss_pseudo(src_probs: Tensor, tgt_probs: Tensor) -> Tensor:
 
 
 def total_loss(l_yw: Tensor, l_pe: Tensor, l_ew: Tensor, mu: float) -> Tensor:
-    """Forward combination; the -lambda coupling lives in the reversal node."""
-    return l_yw + mu * l_pe + l_ew
+    """``l_yw + mu * l_pe + l_ew`` as one node, bit for bit the sum of
+    ``Tensor`` nodes; the -lambda coupling lives in the reversal node."""
+    return _op((l_yw.data + l_pe.data * mu) + l_ew.data, (l_yw, l_pe, l_ew),
+               lambda g: (g, g * mu, g))
 
 
 def compute_weights(pseudo_probs: np.ndarray, gate_open: bool,
@@ -308,10 +310,12 @@ def train(source: EventCorpus, target: EventCorpus,
     Each epoch's target accuracy is computed on one worker thread, from a
     copy of that epoch's trained arrays (:func:`model.snapshot`), while the
     next epoch trains; one is in flight at a time, and the last is waited
-    for. A run uses at most two Python threads, and its outputs are the
-    same as those of computing each accuracy in turn: the evaluation draws
-    from no generator. The worker has stopped when ``train`` returns or
-    raises, and an exception on it is raised here as it was.
+    for. The evaluation scores its chunks one after another
+    (:func:`evaluation.predict`), so a run uses at most two Python threads,
+    and its outputs are the same as those of computing each accuracy in
+    turn: the evaluation draws from no generator. The worker has stopped
+    when ``train`` returns or raises, and an exception on it is raised here
+    as it was.
     """
     for post in source.posts:
         if post.label is None:

@@ -611,7 +611,7 @@ class TestFusedHeadsAndLosses:
 
     def test_training_step_tape_size(self, monkeypatch):
         loss, _ = self.training_step(monkeypatch, FUSED)
-        assert graph_size(loss) <= 45
+        assert graph_size(loss) <= 40
 
 
 def record_returns(seed):

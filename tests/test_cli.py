@@ -307,6 +307,33 @@ def test_a_run_failing_during_training_leaves_no_thread_or_output(failure, capsy
     assert threading.active_count() == threads
 
 
+def test_eval_failing_in_a_chunk_exits_2_and_leaves_no_report(capsys, corpora, checkpoint,
+                                                              tmp_path, monkeypatch):
+    from metadetector import evaluation
+
+    calls, lock = [], threading.Lock()
+    real = evaluation.extract_features
+
+    def failing_third(*args, **kwargs):
+        with lock:
+            calls.append(None)
+            third = len(calls) == 3
+        if third:
+            raise OSError(28, "No space left on device")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "FORWARD_BLOCK", 20)  # 80 posts in 8 chunks
+    monkeypatch.setattr(evaluation, "FORWARD_CHUNK", 10)
+    monkeypatch.setattr(evaluation, "extract_features", failing_third)
+    threads = threading.active_count()
+    out = tmp_path / "x.json"
+    code, _, err = run_cli(capsys, "eval", "--checkpoint", checkpoint,
+                           "--corpus", corpora[1], "--out", str(out))
+    assert code == 2 and "No space left" in err
+    assert not out.exists()
+    assert threading.active_count() == threads
+
+
 GOOD_POST = {"id": "p0", "text": "some words here", "label": 1, "event": "ev"}
 
 

@@ -1,16 +1,22 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metadetector import evaluation
 from metadetector.data_synth import SynthSpec, generate
 from metadetector.errors import ConfigurationError, ContractError
 from metadetector.evaluation import (
     evaluate,
     export_weights,
     metrics_from_predictions,
+    predict,
 )
-from metadetector.text import EventCorpus, Post
+from metadetector.model import detect, extract_features, pseudo_discriminate
+from metadetector.text import EventCorpus, Post, encode
 from metadetector.training import TrainConfig, train
 
 
@@ -149,3 +155,155 @@ class TestExportWeights:
         params, source, _ = trained
         with pytest.raises(ConfigurationError, match="top_n"):
             export_weights(params, source, top_n=-2)
+
+
+# -- the chunks run on two threads ----------------------------------------
+
+SIZES = [1, 2, 3, 250, 251, 256, 257, 258, 499, 500, 501, 751, 757, 1251, 1257]
+# the family of the benchmark's acceptance workload, at its model shape
+FAMILY = dict(shift=0.9, signal_strength=0.8, specific_vocab_size=4,
+              shared_vocab_size=100, post_length=40, fake_ratio=0.4)
+
+
+@pytest.fixture(scope="module")
+def scorers():
+    """A model trained at the acceptance shape, and one with a frozen table."""
+    pair = generate(SynthSpec(n_source=300, n_target=300, seed=11, **FAMILY))
+    out = {}
+    for name, frozen in (("trained", False), ("frozen", True)):
+        cfg = TrainConfig(epochs=3, batch_size=60, lr=0.1, embedding_dim=16,
+                          n_filters=12, seed=2, freeze_embeddings=frozen)
+        out[name], _, _ = train(*pair, cfg)
+        assert out[name].theta_f.embedding.requires_grad is not frozen
+    return out
+
+
+@pytest.fixture(scope="module")
+def posts():
+    """1,257 labelled posts of the scoring models' family, unseen in training."""
+    source, _ = generate(SynthSpec(n_source=max(SIZES), n_target=1, seed=12, **FAMILY))
+    return source
+
+
+def first(posts, n):
+    return EventCorpus(posts.event_id, posts.posts[:n], role="source")
+
+
+def serial(params, ids, rows=500):
+    """Detector classes and pseudo probabilities from extractor passes of
+    ``rows`` rows, one after another; 500 is the earlier inference."""
+    classes, probs = [], []
+    for start in range(0, len(ids), rows):
+        feats = extract_features(ids[start:start + rows], params.theta_f)
+        classes.append(detect(feats, params.theta_y).data.argmax(axis=1))
+        probs.append(pseudo_discriminate(feats, params.theta_pe).data)
+    return np.concatenate(classes), np.concatenate(probs)
+
+
+@pytest.fixture(scope="module")
+def reordered(scorers, posts):
+    """For each model, the posts reordered so that a wrong chunk shows.
+
+    A BLAS product takes a pass's rows in groups and its last rows, and a
+    one-row pass, by other paths whose sums may differ in the last bit. So
+    rows 248, 249, 498 and 499 hold posts whose probability in a two-row
+    pass differs from that in a 500-row pass, and rows 256 and 756 posts
+    whose probability alone differs: a chunk that ends a group early, or a
+    one-row chunk, where the 500-row passes have neither, changes a bit.
+    """
+    out = {}
+    for name, params in scorers.items():
+        ids = encode(posts, params.vocab, params.k)
+        _, probs = serial(params, ids)
+        order = list(range(len(ids)))
+        for rows, at in ((2, (248, 249, 498, 499)), (1, (256, 756))):
+            differ = np.flatnonzero(serial(params, ids, rows)[1] != probs)
+            differ = [i for i in differ if i not in (248, 249, 498, 499, 256, 756)]
+            assert len(differ) >= len(at)
+            for row, i in zip(at, differ):
+                order[row], order[i] = order[i], order[row]
+        out[name] = EventCorpus(posts.event_id, [posts.posts[i] for i in order],
+                                role="source")
+    return out
+
+
+@pytest.mark.parametrize("model", ["trained", "frozen"])
+@pytest.mark.parametrize("n", SIZES)
+def test_two_thread_chunks_equal_the_serial_500_row_passes(n, model, scorers, reordered,
+                                                           monkeypatch):
+    params = scorers[model]
+    corpus = first(reordered[model], n)
+    ids = encode(corpus, params.vocab, params.k)
+    classes, probs = serial(params, ids)
+
+    seen = []
+
+    def keep(preds, labels):
+        seen.append(preds)
+        return metrics_from_predictions(preds, labels)
+
+    monkeypatch.setattr(evaluation, "metrics_from_predictions", keep)
+    evaluate(params, corpus)
+    assert np.array_equal(seen[0], classes)
+    assert np.array_equal(predict(params, ids), classes)
+    by_id = {e.post_id: e.pseudo_prob for e in export_weights(params, corpus).entries}
+    assert np.array_equal([by_id[p.id] for p in corpus.posts], probs)
+
+
+def test_chunk_rule():
+    """Each 500-row block in two chunks, cut after 256 rows, or whole where
+    the cut would leave one row."""
+    for n in range(1, 2002):
+        chunks = evaluation._chunks(n)
+        assert [c.start for c in chunks[1:]] == [c.stop for c in chunks[:-1]]
+        assert (chunks[0].start, chunks[-1].stop) == (0, n)
+        assert all(c.start % 500 in (0, 256) for c in chunks)
+        assert all(c.start // 500 == (c.stop - 1) // 500 for c in chunks)
+        ones = [c.start for c in chunks if c.stop - c.start == 1]
+        assert ones == ([n - 1] if n % 500 == 1 else [])
+        assert len(chunks) == 2 * (n // 500) + (n % 500 > 257) + (n % 500 > 0)
+
+
+def test_scoring_leaves_no_thread(scorers, posts):
+    params = scorers["trained"]
+    corpus = first(posts, max(SIZES))
+    threads = threading.active_count()
+    evaluate(params, corpus)
+    assert threading.active_count() == threads
+    export_weights(params, corpus)
+    assert threading.active_count() == threads
+
+
+def test_chunk_order_holds_under_frequent_thread_switches(scorers, posts):
+    params = scorers["trained"]
+    corpus = first(posts, max(SIZES))
+    ids = encode(corpus, params.vocab, params.k)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        scored = evaluation._on_two_threads(params, ids, evaluation._classes)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(scored, predict(params, ids))
+
+
+def test_a_failing_chunk_is_raised_after_both_threads_stop(scorers, posts,
+                                                           monkeypatch):
+    params = scorers["trained"]
+    failure = RuntimeError("third chunk failed")
+    calls, lock = [], threading.Lock()
+
+    def failing_third(ids, theta_f):
+        with lock:
+            calls.append(len(ids))
+            third = len(calls) == 3
+        if third:
+            raise failure
+        return extract_features(ids, theta_f)
+
+    monkeypatch.setattr(evaluation, "extract_features", failing_third)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        evaluate(params, first(posts, max(SIZES)))
+    assert raised.value is failure
+    assert threading.active_count() == threads

@@ -128,6 +128,22 @@ class TestTotalLoss:
         t = total_loss(Tensor([0.7]), Tensor([1.4]), Tensor([1.4]), mu=1.0)
         assert t.item() == pytest.approx(3.5)
 
+    @pytest.mark.parametrize("mu", [0.7, 1.0, 0.0])
+    def test_one_node_bit_for_bit_the_tensor_sum(self, mu):
+        def run(combine):
+            rng = np.random.default_rng(4)
+            leaves = [Tensor(rng.uniform(0.1, 3.0, size=50), requires_grad=True)
+                      for _ in range(3)]
+            out = combine(*leaves)
+            backward((out * 0.37).sum())
+            return out, [t.grad for t in leaves]
+
+        out, grads = run(lambda a, b, c: total_loss(a, b, c, mu))
+        ref, ref_grads = run(lambda a, b, c: a + mu * b + c)
+        assert len(out._parents) == 3
+        assert np.array_equal(out.data, ref.data)
+        assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
+
     def test_mu_zero_silences_pseudo_gradient(self):
         l_pe = Tensor([1.0], requires_grad=True)
         t = total_loss(Tensor([1.0]), l_pe, Tensor([1.0]), mu=0.0)
@@ -486,4 +502,18 @@ class TestOverlappedEvaluation:
         assert waited and worker is not threading.current_thread()
         assert not worker.is_alive()
         assert threading.active_count() == threads
+
+    def test_a_run_extracts_features_on_at_most_two_threads(self, corpora, monkeypatch):
+        from metadetector import evaluation, training
+
+        real, threads = training.extract_features, set()
+
+        def recorded(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "extract_features", recorded)
+        monkeypatch.setattr(evaluation, "extract_features", recorded)
+        train(*corpora, TrainConfig(epochs=3, **self.CONFIG))
+        assert threading.get_ident() in threads and len(threads) == 2
 
