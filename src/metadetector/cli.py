@@ -16,7 +16,7 @@ import sys
 from dataclasses import fields, replace
 
 from .data_synth import SynthSpec, generate, inject_anomalies
-from .errors import MetaDetectorError
+from .errors import ContractError, MetaDetectorError
 from .evaluation import evaluate, export_weights
 from .model import load_checkpoint, save_checkpoint
 from .text import load_corpus, save_corpus
@@ -85,9 +85,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @contextlib.contextmanager
-def _outputs(*paths):
+def _outputs(*paths, inputs=()):
     """Open the output paths given before the block runs, so an unwritable
-    one costs no run; if the block fails, remove the files this created."""
+    one costs no run; if the block fails, remove the files this created.
+    An output path that names an input or another output is refused first."""
+    seen = {os.path.realpath(path) for path in filter(None, inputs)}
+    for path in filter(None, paths):
+        if os.path.realpath(path) in seen:
+            raise ContractError(f"{path}: output path names an input or another output")
+        seen.add(os.path.realpath(path))
     created = []
     try:
         for path in filter(None, paths):
@@ -109,11 +115,12 @@ def _given(args, cls) -> dict:
 
 
 def _cmd_synth(args) -> int:
-    spec = SynthSpec(**_given(args, SynthSpec))
-    source, target = generate(spec)
-    source = inject_anomalies(source, args.anomaly_fraction, seed=spec.seed + 1, spec=spec)
-    save_corpus(source, args.out_source)
-    save_corpus(target, args.out_target)
+    with _outputs(args.out_source, args.out_target):
+        spec = SynthSpec(**_given(args, SynthSpec))
+        source, target = generate(spec)
+        source = inject_anomalies(source, args.anomaly_fraction, seed=spec.seed + 1, spec=spec)
+        save_corpus(source, args.out_source)
+        save_corpus(target, args.out_target)
     print(json.dumps({"n_source": len(source), "n_target": len(target),
                       "source_path": args.out_source,
                       "target_path": args.out_target}))
@@ -136,12 +143,12 @@ def _cmd_train(args) -> int:
         overrides["weighting_override"] = {
             "auto": "auto", "on": "always_on", "off": "always_off"}[args.weighting]
     config = replace(config, **overrides)
-
-    source = load_corpus(args.source, role="source")
-    target = load_corpus(args.target, role="target")
     # the checkpoint path takes the suffix np.savez appends
     out = args.out if args.out.endswith(".npz") else args.out + ".npz"
-    with _outputs(out, args.history):
+    with _outputs(out, args.history, inputs=(args.source, args.target, args.config,
+                                             config.pretrained_vectors)):
+        source = load_corpus(args.source, role="source")
+        target = load_corpus(args.target, role="target")
         params, history, shift = train(source, target, config)
         save_checkpoint(params, out)
         if args.history:
@@ -161,9 +168,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    params = load_checkpoint(args.checkpoint)
-    corpus = load_corpus(args.corpus, role="target")
-    with _outputs(args.out, args.csv):
+    with _outputs(args.out, args.csv, inputs=(args.checkpoint, args.corpus)):
+        params = load_checkpoint(args.checkpoint)
+        corpus = load_corpus(args.corpus, role="target")
         report = evaluate(params, corpus)
         payload = json.dumps(report.to_dict())
         if args.out:
@@ -183,9 +190,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    params = load_checkpoint(args.checkpoint)
-    corpus = load_corpus(args.corpus, role="source")
-    with _outputs(args.csv):
+    with _outputs(args.csv, inputs=(args.checkpoint, args.corpus)):
+        params = load_checkpoint(args.checkpoint)
+        corpus = load_corpus(args.corpus, role="source")
         ranking = export_weights(params, corpus, top_n=args.top_n)
         if args.csv:
             with open(args.csv, "w", newline="", encoding="utf-8") as fh:

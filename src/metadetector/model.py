@@ -8,7 +8,7 @@ import hashlib
 import json
 import math
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -74,14 +74,29 @@ class DiscriminatorParams:
 
 @dataclass
 class ModelParams:
-    theta_f: FeatureExtractorParams
-    theta_y: DetectorParams
-    theta_e: DiscriminatorParams
-    theta_pe: DiscriminatorParams
+    """The parameters, held once in ``tensors`` by :func:`_array_shapes`
+    name and order; the four heads are views of it, built on each read."""
+    tensors: dict[str, Tensor]
     vocab: Vocabulary
     k: int
     seed: int
     config_snapshot: dict = field(default_factory=dict)
+
+    @property
+    def theta_f(self) -> FeatureExtractorParams:
+        t = self.tensors
+        return FeatureExtractorParams(
+            filters=[a for name, a in t.items() if name.startswith("f_filter_")],
+            conv_biases=[a for name, a in t.items() if name.startswith("f_bias_")],
+            w_fc=t["f_w_fc"], b_fc=t["f_b_fc"], embedding=t["embedding"])
+
+    def _discriminator(self, head: str) -> DiscriminatorParams:
+        return DiscriminatorParams(*(self.tensors[f"{head}_{part}"]
+                                     for part, _ in _disc_shapes(FEATURE_DIM, DISC_HIDDEN)))
+
+    theta_y = property(lambda self: DetectorParams(self.tensors["y_w"], self.tensors["y_b"]))
+    theta_e = property(lambda self: self._discriminator("e"))
+    theta_pe = property(lambda self: self._discriminator("pe"))
 
 
 def _disc_shapes(in_dim: int, hidden: int):
@@ -101,10 +116,9 @@ def init_model(vocab: Vocabulary, table: Tensor, k: int, seed: int,
                config_snapshot: Optional[dict] = None) -> ModelParams:
     """A fresh model around ``table``; arrays are drawn in layout order."""
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    tensors = {name: _init_array(rng, shape)
-               for name, shape in _array_shapes(*table.shape, w_max, n_filters)
-               if name != "embedding"}
-    return _assemble(tensors, table, vocab, k, seed, dict(config_snapshot or {}))
+    tensors = {name: table if name == "embedding" else _init_array(rng, shape)
+               for name, shape in _array_shapes(*table.shape, w_max, n_filters)}
+    return ModelParams(tensors, vocab, k, seed, dict(config_snapshot or {}))
 
 
 # The fused ops below repeat, in order, the floating-point operations of the
@@ -192,34 +206,17 @@ def vocab_hash(vocab: Vocabulary) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def named_tensors(params: ModelParams) -> dict[str, Tensor]:
-    """Each parameter of ``params`` under its :func:`_array_shapes` name;
-    the inverse of :func:`_assemble`."""
-    f = params.theta_f
-    tensors = [t for pair in zip(f.filters, f.conv_biases) for t in pair]
-    tensors += [f.w_fc, f.b_fc, f.embedding, params.theta_y.w, params.theta_y.b]
-    tensors += [getattr(head, part) for head in (params.theta_e, params.theta_pe)
-                for part, _ in _disc_shapes(FEATURE_DIM, DISC_HIDDEN)]
-    names = [name for name, _ in _array_shapes(*f.embedding.shape, f.w_max, f.n_filters)]
-    return dict(zip(names, tensors, strict=True))
-
-
 def trained_tensors(params: ModelParams) -> dict[str, Tensor]:
-    """What trains: the :func:`named_tensors` entries with ``requires_grad`` set."""
-    return {name: t for name, t in named_tensors(params).items() if t.requires_grad}
+    """What trains: the ``params.tensors`` entries with ``requires_grad`` set."""
+    return {name: t for name, t in params.tensors.items() if t.requires_grad}
 
 
 def snapshot(params: ModelParams) -> ModelParams:
     """``params`` with a copy of each trained array, to read while the
     originals train on; a tensor that does not train is shared."""
-    tensors = {name: Tensor(t.data.copy(), requires_grad=True) if t.requires_grad else t
-               for name, t in named_tensors(params).items()}
-    return _assemble(tensors, tensors["embedding"], params.vocab, params.k,
-                     params.seed, params.config_snapshot)
-
-
-def _array_map(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: t.data for name, t in named_tensors(params).items()}
+    return replace(params, tensors={
+        name: Tensor(t.data.copy(), requires_grad=True) if t.requires_grad else t
+        for name, t in params.tensors.items()})
 
 
 def save_checkpoint(params: ModelParams, path: str) -> None:
@@ -235,14 +232,16 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
         "vocab_hash": vocab_hash(params.vocab),
         "config": params.config_snapshot,
     }
-    np.savez(path, __meta__=np.array(json.dumps(meta)), **_array_map(params))
+    np.savez(path, __meta__=np.array(json.dumps(meta)),
+             **{name: t.data for name, t in params.tensors.items()})
 
 
 def _array_shapes(n_vocab: int, d: int, w_max: int, n_filters: int):
     """(name, shape) of each parameter array, filter banks first: the one
-    record of the layout. :func:`init_model` draws in this order,
-    :func:`_array_map` saves under these names, :func:`load_checkpoint`
-    checks them and :func:`_assemble` builds the heads from them."""
+    record of the layout. These are the keys of ``ModelParams.tensors``, in
+    its order; :func:`init_model` draws in this order,
+    :func:`save_checkpoint` saves under these names and
+    :func:`load_checkpoint` checks them."""
     for i in range(w_max):
         yield f"f_filter_{i}", (n_filters, d, i + 1)
         yield f"f_bias_{i}", (n_filters,)
@@ -254,25 +253,6 @@ def _array_shapes(n_vocab: int, d: int, w_max: int, n_filters: int):
     for head in ("e", "pe"):
         for part, shape in _disc_shapes(FEATURE_DIM, DISC_HIDDEN):
             yield f"{head}_{part}", shape
-
-
-def _assemble(tensors: dict[str, Tensor], table: Tensor, vocab: Vocabulary,
-              k: int, seed: int, config: dict) -> ModelParams:
-    """The model whose parameters ``tensors`` holds under their
-    :func:`_array_shapes` names, around the embedding ``table``."""
-    w_max = sum(name.startswith("f_filter_") for name in tensors)
-    theta_f = FeatureExtractorParams(
-        filters=[tensors[f"f_filter_{i}"] for i in range(w_max)],
-        conv_biases=[tensors[f"f_bias_{i}"] for i in range(w_max)],
-        w_fc=tensors["f_w_fc"], b_fc=tensors["f_b_fc"], embedding=table)
-    theta_e, theta_pe = (
-        DiscriminatorParams(*(tensors[f"{head}_{part}"]
-                              for part, _ in _disc_shapes(FEATURE_DIM, DISC_HIDDEN)))
-        for head in ("e", "pe"))
-    return ModelParams(theta_f=theta_f,
-                       theta_y=DetectorParams(w=tensors["y_w"], b=tensors["y_b"]),
-                       theta_e=theta_e, theta_pe=theta_pe,
-                       vocab=vocab, k=k, seed=seed, config_snapshot=config)
 
 
 # metadata field -> its JSON type; exact, since bool is an int subclass
@@ -321,9 +301,11 @@ def load_checkpoint(path: str) -> ModelParams:
 
 def _read_checkpoint(path: str) -> ModelParams:
     with open(path, "rb") as fh:  # closed however the read ends
+        # np.load's test for a zip; it would read any other file as .npy or pickle
+        if fh.read(4) not in (b"PK\x03\x04", b"PK\x05\x06"):
+            raise CheckpointError("not an npz checkpoint")
+        fh.seek(0)
         npz = np.load(fh, allow_pickle=False)
-        if not isinstance(npz, np.lib.npyio.NpzFile):
-            raise CheckpointError("a single .npy array, not an npz checkpoint")
         meta = json.loads(str(npz["__meta__"]))
         _check_meta(meta)
         vocab = Vocabulary(
@@ -349,9 +331,8 @@ def _read_checkpoint(path: str) -> ModelParams:
                     f"expected float of shape {shape}")
             if not np.isfinite(a).all():
                 raise CheckpointError(f"array {name!r} holds non-finite values")
-            if name != "embedding":
-                tensors[name] = Tensor(a, requires_grad=True)
+            tensors[name] = Tensor(a, requires_grad=(name != "embedding"
+                                                     or meta["embedding_trainable"]))
     # built from the arrays, not through init_model: scoring then never
     # creates a random generator, whose import costs about 2 MB of RSS
-    table = Tensor(emb, requires_grad=meta["embedding_trainable"])
-    return _assemble(tensors, table, vocab, meta["k"], meta["seed"], meta["config"])
+    return ModelParams(tensors, vocab, meta["k"], meta["seed"], meta["config"])

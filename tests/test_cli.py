@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import shlex
+import shutil
 import threading
 from pathlib import Path
 
@@ -473,6 +474,15 @@ def _write_bad_input(case, d, checkpoint):
     path = d / "bad.npz"
     if case == "checkpoint-not-npz":
         path.write_text("not an archive\n")
+    elif case == "checkpoint-corpus":
+        path.write_text(_jsonl(GOOD_POST))
+    elif case == "checkpoint-csv":
+        path.write_text("post_id,weight,pseudo_prob,excerpt\np0,0.5,0.5,some words\n")
+    elif case == "checkpoint-empty":
+        path.write_bytes(b"")
+    elif case == "checkpoint-npy":
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))
     elif case == "checkpoint-truncated":
         data = Path(checkpoint).read_bytes()
         path.write_bytes(data[:len(data) // 2])
@@ -487,9 +497,13 @@ def _write_bad_input(case, d, checkpoint):
     return path, "checkpoint"
 
 
+# checkpoint files that are no zip archive; np.load is never reached
+NOT_ZIP = ["checkpoint-not-npz", "checkpoint-corpus", "checkpoint-csv",
+           "checkpoint-empty", "checkpoint-npy"]
+
 BAD_INPUTS = ["corpus-missing", "corpus-array-line", "corpus-text-not-string",
               "corpus-label-bool", "corpus-mixed-events", "corpus-lone-surrogate",
-              "checkpoint-missing", "checkpoint-not-npz", "checkpoint-truncated",
+              "checkpoint-missing", *NOT_ZIP, "checkpoint-truncated",
               *CHECKPOINT_TAMPERS,
               "config-missing", "config-invalid-json", "config-not-object",
               "config-string-for-int", "config-bool-for-int",
@@ -531,6 +545,44 @@ def test_bad_input_exits_2_without_traceback(case, capsys, corpora, checkpoint,
         assert f"{bad}, line 2:" in err
     if case in BAD_VECTORS:
         assert f"{bad}, line {BAD_VECTORS[case][1]}:" in err
+    if case in NOT_ZIP:
+        assert f"{bad}: not an npz checkpoint" in err and "pickle" not in err
+
+
+# each command's last argument is the output path that names an earlier one
+CLASHING_PATHS = {
+    "weights-csv-is-corpus": ["weights", "--checkpoint", "m.npz", "--corpus", "s.jsonl",
+                              "--csv", "s.jsonl"],
+    "eval-out-is-checkpoint": ["eval", "--checkpoint", "m.npz", "--corpus", "t.jsonl",
+                               "--out", "./m.npz"],
+    "train-history-is-out": ["train", "--source", "s.jsonl", "--target", "t.jsonl",
+                             "--out", "x.npz", "--history", "x.npz"],
+    "train-history-is-out-with-suffix": ["train", "--source", "s.jsonl",
+                                         "--target", "t.jsonl",
+                                         "--out", "x", "--history", "x.npz"],
+    "train-history-is-config-vectors": ["train", "--source", "s.jsonl",
+                                        "--target", "t.jsonl", "--config", "c.json",
+                                        "--out", "x.npz", "--history", "v.txt"],
+    "synth-target-is-source": ["synth", "--out-source", "x.jsonl",
+                               "--out-target", "x.jsonl"],
+}
+
+
+@pytest.mark.parametrize("case", CLASHING_PATHS)
+def test_an_output_that_names_an_input_or_another_output_is_refused(
+        case, capsys, corpora, checkpoint, tmp_path, monkeypatch):
+    for name, path in (("s.jsonl", corpora[0]), ("t.jsonl", corpora[1]),
+                       ("m.npz", checkpoint)):
+        shutil.copyfile(path, tmp_path / name)
+    (tmp_path / "v.txt").write_text("0 2\n")
+    (tmp_path / "c.json").write_text('{"pretrained_vectors": "v.txt"}')
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.chdir(tmp_path)
+    argv = CLASHING_PATHS[case]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {argv[-1]}:") and "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def corrupt_lines():

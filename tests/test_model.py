@@ -15,16 +15,16 @@ from metadetector.model import (
     extract_features,
     init_discriminator,
     load_checkpoint,
-    named_tensors,
     pseudo_discriminate,
     save_checkpoint,
+    snapshot,
     trained_tensors,
-    _array_map,
     _array_shapes,
     _discriminator_head,
 )
 from metadetector.text import MAX_K
-from helpers import build_tiny_model, random_batch
+from metadetector.training import sgd_step, total_loss
+from helpers import build_tiny_model, forward_losses, random_batch
 
 
 class TestExtractFeatures:
@@ -153,6 +153,58 @@ class TestParameterCount:
                                   params.theta_pe.w1.data)
 
 
+def _view_tensors(params) -> dict[str, Tensor]:
+    """Each tensor the four heads show, under its layout name."""
+    f, y, e, pe = params.theta_f, params.theta_y, params.theta_e, params.theta_pe
+    shown = {}
+    for i, (w, b) in enumerate(zip(f.filters, f.conv_biases)):
+        shown[f"f_filter_{i}"], shown[f"f_bias_{i}"] = w, b
+    shown.update(f_w_fc=f.w_fc, f_b_fc=f.b_fc, embedding=f.embedding, y_w=y.w, y_b=y.b)
+    for head, disc in (("e", e), ("pe", pe)):
+        shown.update({f"{head}_{part}": getattr(disc, part)
+                      for part in ("w1", "b1", "w2", "b2")})
+    return shown
+
+
+class TestHeadViews:
+    def test_tensors_follow_the_layout(self):
+        params = build_tiny_model(vocab_size=50, dim=8, n_filters=4, w_max=3)
+        assert list(params.tensors) == [name for name, _ in _array_shapes(50, 8, 3, 4)]
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_each_head_shows_the_held_tensor(self, frozen):
+        params = build_tiny_model()
+        params.tensors["embedding"].requires_grad = not frozen
+        shown = _view_tensors(params)
+        assert sorted(shown) == sorted(params.tensors)
+        assert all(shown[name] is t for name, t in params.tensors.items())
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_snapshot_copies_what_trains_and_shares_the_rest(self, frozen):
+        params = build_tiny_model()
+        params.tensors["embedding"].requires_grad = not frozen
+        copy = snapshot(params)
+        assert list(copy.tensors) == list(params.tensors)
+        for name, t in params.tensors.items():
+            if t.requires_grad:
+                assert np.array_equal(copy.tensors[name].data, t.data)
+                assert not np.shares_memory(copy.tensors[name].data, t.data)
+            else:
+                assert copy.tensors[name] is t
+        assert (copy.vocab, copy.k, copy.seed) == (params.vocab, params.k, params.seed)
+
+    def test_a_step_on_the_original_leaves_the_snapshot(self):
+        params = build_tiny_model()
+        copy = snapshot(params)
+        before = {name: t.data.copy() for name, t in copy.tensors.items()}
+        ids_s, y_s, ids_t = random_batch(params)
+        l_yw, l_pe, l_ew = forward_losses(params, ids_s, y_s, ids_t, 0.5, np.ones(len(y_s)))
+        backward(total_loss(l_yw, l_pe, l_ew, 0.5))
+        sgd_step(trained_tensors(params).values(), lr=0.1)
+        assert not np.array_equal(params.tensors["y_w"].data, before["y_w"])
+        assert all(np.array_equal(copy.tensors[n].data, a) for n, a in before.items())
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         params = build_tiny_model()
@@ -171,7 +223,7 @@ class TestCheckpoint:
         params.theta_f.embedding.requires_grad = not frozen
         path = str(tmp_path / "model.npz")
         save_checkpoint(params, path)
-        loaded = named_tensors(load_checkpoint(path))
+        loaded = load_checkpoint(path).tensors
         assert loaded["embedding"].requires_grad != frozen
         assert all(t.grad is None for t in loaded.values())
 
@@ -278,14 +330,14 @@ def tampered_checkpoints(draw, saved):
 def test_array_shapes_match_saved_arrays():
     """The shapes a checkpoint is checked against are those a model saves."""
     params = build_tiny_model(vocab_size=50, dim=8, n_filters=4, w_max=3)
-    saved = {name: a.shape for name, a in _array_map(params).items()}
+    saved = {name: t.shape for name, t in params.tensors.items()}
     assert dict(_array_shapes(50, 8, 3, 4)) == saved
 
 
 def test_init_values_are_pinned():
     """init_model's draw order: the tiny model's initial arrays, hashed."""
     digest = hashlib.sha256()
-    for name, a in _array_map(build_tiny_model()).items():
+    for name, a in {n: t.data for n, t in build_tiny_model().tensors.items()}.items():
         digest.update(name.encode() + repr(a.shape).encode() + a.tobytes())
     assert digest.hexdigest() == (
         "0d17e9fb43795e44da5d0f9f28e5bcb9a1f69c3518f992d44f323ce2a1bca9a0")

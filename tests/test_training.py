@@ -262,7 +262,6 @@ class TestTrain:
 
     def test_non_finite_gradient_stops_before_any_update(self, monkeypatch):
         from metadetector import training
-        from metadetector.model import _array_map
 
         spec = SynthSpec(n_source=60, n_target=60, post_length=8, seed=2)
         source, target = generate(spec)
@@ -277,7 +276,7 @@ class TestTrain:
             real_backward(seed)
             seen["steps"] = seen.get("steps", 0) + 1
             if seen["steps"] == 3:
-                seen["before"] = {n: a.copy() for n, a in _array_map(seen["params"]).items()}
+                seen["before"] = {n: t.data.copy() for n, t in seen["params"].tensors.items()}
                 seen["params"].theta_y.b.grad[1] = np.nan
 
         monkeypatch.setattr(training, "init_model", capture_init)
@@ -285,7 +284,7 @@ class TestTrain:
         with pytest.raises(NumericalError, match="gradient of y_b at epoch 1"):
             train(source, target, TrainConfig(epochs=2, batch_size=20, embedding_dim=8,
                                               n_filters=4))
-        after = _array_map(seen["params"])
+        after = {n: t.data for n, t in seen["params"].tensors.items()}
         assert all(np.array_equal(after[n], a) for n, a in seen["before"].items())
 
     @pytest.mark.parametrize("frozen", [True, False])
@@ -421,7 +420,6 @@ class TestOverlappedEvaluation:
                                                                   monkeypatch):
         from metadetector import training
         from metadetector.evaluation import predict
-        from metadetector.model import _array_map
 
         source, target = corpora
         labels = np.array([p.label for p in target.posts])
@@ -432,7 +430,7 @@ class TestOverlappedEvaluation:
             ids_t = text.encode(target, params.vocab, params.k)
             accuracy = float((predict(params, ids_t) == labels).mean())
             assert history[-1].target_accuracy == accuracy
-            expected[e] = (_array_map(params), accuracy)
+            expected[e] = ({n: t.data for n, t in params.tensors.items()}, accuracy)
 
         steps = [0]
         stepped = threading.Condition()
@@ -452,7 +450,7 @@ class TestOverlappedEvaluation:
                                               timeout=20)
             else:
                 waited = True
-            seen[epoch] = (waited, {n: a.copy() for n, a in _array_map(params).items()})
+            seen[epoch] = (waited, {n: t.data.copy() for n, t in params.tensors.items()})
             return predict(params, ids)
 
         monkeypatch.setattr(training, "sgd_step", counted_step)
