@@ -4,11 +4,14 @@ The gate statistic is computed once, before training, on mean-pooled word
 embeddings of each post; weighting is enabled iff the distance d_k reaches
 the threshold d*. There is one MMD^2, ``mmd_squared``: a sum over blocks of
 rows of the pooled distance matrix, which is never held whole, made
-symmetric in its two samples by putting them in a canonical order.
+symmetric in its two samples by putting them in a canonical order. The
+blocks run on two threads, two blocks at a time, folded in block order, so
+every result is bit for bit that of one block after another.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -18,7 +21,8 @@ from .errors import DegenerateDataError, SampleSizeError
 from .text import PAD_ID, EventCorpus, Vocabulary, token_ids
 
 N_KERNELS = 7
-# Rows of the pooled distance matrix that the shift gate holds at a time.
+# Rows of the pooled distance matrix in one block; the gate holds two blocks
+# at a time, folded in block order. Another size changes mmd_squared's sums.
 GATE_BLOCK_ROWS = 512
 # Histogram keys are the top 19 value bits of a float64 (exponent and 8
 # mantissa bits): a bin spans 1/256 of a power of two.
@@ -88,19 +92,27 @@ def corpus_representations(corpus: EventCorpus, vocab: Vocabulary,
     return np.stack(sums, axis=1) / counts[:, None]
 
 
-def _upper_blocks(pooled: np.ndarray):
-    """The pooled squared-distance matrix, ``GATE_BLOCK_ROWS`` rows at a time.
+def _upper_blocks(pooled: np.ndarray, fn):
+    """``fn(i0, block)`` of each block of the pooled squared-distance matrix,
+    yielded in block order, two blocks at a time on two worker threads.
 
-    Yields ``(i0, block)``: ``block[r, c]`` is the distance of rows
-    ``i0 + r`` and ``i0 + c``. Entries on and below the diagonal are set to
-    +inf, so a block holds only pairs i < j.
+    ``block[r, c]`` is the distance of rows ``i0 + r`` and ``i0 + c``, for
+    ``GATE_BLOCK_ROWS`` rows from ``i0``; entries on and below the diagonal
+    are +inf, so a block holds only pairs i < j. No block outlives its call.
+    Callers fold the results as they come, in block order, so every sum is
+    bit for bit that of one block after another. An exception in a block is
+    raised here as it was, once both threads have stopped.
     """
-    n = len(pooled)
-    for i0 in range(0, n, GATE_BLOCK_ROWS):
-        i1 = min(i0 + GATE_BLOCK_ROWS, n)
+    n, rows = len(pooled), GATE_BLOCK_ROWS
+
+    def run(i0: int):
+        i1 = min(i0 + rows, n)
         block = _pairwise_sq_dists(pooled[i0:i1], pooled[i0:])
         block[:, :i1 - i0][np.tril_indices(i1 - i0)] = np.inf
-        yield i0, block
+        return fn(i0, block)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        yield from pool.map(run, range(0, n, rows))
 
 
 def _gate_median(pooled: np.ndarray) -> float:
@@ -118,9 +130,9 @@ def _gate_median(pooled: np.ndarray) -> float:
     n, dim = pooled.shape
     centred = pooled - pooled.mean(axis=0)  # same distances, smaller Gram rounding
     hist = np.zeros(1 << (63 - _KEY_SHIFT), dtype=np.int64)
-    for _, block in _upper_blocks(centred):
-        hist += np.bincount((block.view(np.int64) >> _KEY_SHIFT).ravel(),
-                            minlength=hist.size)
+    for counts in _upper_blocks(centred, lambda _, block: np.bincount(
+            (block.view(np.int64) >> _KEY_SHIFT).ravel(), minlength=hist.size)):
+        hist += counts
 
     _, copies = np.unique(pooled, axis=0, return_counts=True)
     n_zero = int((copies * (copies - 1) // 2).sum())
@@ -134,14 +146,18 @@ def _gate_median(pooled: np.ndarray) -> float:
         * float((centred ** 2).sum(axis=1).max())
     lo, hi = lo - 2.0 * margin, hi + 2.0 * margin
 
-    below, direct = 0, []
-    for i0, block in _upper_blocks(centred):
-        below += int(np.count_nonzero(block < lo))
+    step = GATE_BLOCK_ROWS  # pairs whose direct distance is taken at a time
+
+    def near(i0: int, block: np.ndarray):  # count below, direct distances inside
         rows, cols = np.nonzero((block >= lo) & (block <= hi))
-        for s in range(0, len(rows), GATE_BLOCK_ROWS):
-            diff = pooled[i0 + rows[s:s + GATE_BLOCK_ROWS]] \
-                - pooled[i0 + cols[s:s + GATE_BLOCK_ROWS]]
-            direct.append((diff ** 2).sum(axis=1))
+        return int(np.count_nonzero(block < lo)), [
+            ((pooled[i0 + rows[s:s + step]] - pooled[i0 + cols[s:s + step]]) ** 2).sum(axis=1)
+            for s in range(0, len(rows), step)]
+
+    below, direct = 0, []
+    for count, distances in _upper_blocks(centred, near):
+        below += count
+        direct += distances
     kept = np.partition(np.concatenate(direct), [r - below for r in ranks])
     return float((kept[ranks[0] - below] + kept[ranks[1] - below]) / 2.0)
 
@@ -167,19 +183,24 @@ def mmd_squared(xs: np.ndarray, ys: np.ndarray, bank: KernelBank) -> float:
     n_x, n_y, n_k = len(xs), len(ys), len(bank.sq_bandwidths)
     centred = np.concatenate([xs, ys], axis=0)
     centred -= centred.mean(axis=0)  # same distances, smaller Gram rounding
-    s_xx = s_yy = s_xy = 0.0
-    for i0, block in _upper_blocks(centred):
+
+    def kernel_sums(i0: int, block: np.ndarray) -> list[tuple[float, float, float]]:
         src = max(n_x - i0, 0)  # rows and columns of xs in the block
-        k, wider = np.empty_like(block), None
+        k, wider, sums = np.empty_like(block), None, []
         for s2 in bank.sq_bandwidths[::-1]:
             if wider is not None and s2 * 2.0 == wider:
                 np.multiply(k, k, out=k)
             else:
                 np.exp(np.divide(block, -2.0 * s2, out=k), out=k)
             wider = s2
-            s_xx += float(k[:src, :src].sum())
-            s_xy += float(k[:src, src:].sum())
-            s_yy += float(k[src:, src:].sum())
+            sums.append((float(k[:src, :src].sum()), float(k[:src, src:].sum()),
+                         float(k[src:, src:].sum())))
+        return sums
+
+    s_xx = s_yy = s_xy = 0.0
+    for sums in _upper_blocks(centred, kernel_sums):
+        for xx, xy, yy in sums:
+            s_xx, s_xy, s_yy = s_xx + xx, s_xy + xy, s_yy + yy
     kxx = (n_x * n_k + 2.0 * s_xx) / (n_k * n_x ** 2)
     kyy = (n_y * n_k + 2.0 * s_yy) / (n_k * n_y ** 2)
     kxy = s_xy / (n_k * n_x * n_y)
@@ -192,8 +213,9 @@ def shift_gate(source: EventCorpus, target: EventCorpus, vocab: Vocabulary,
 
     The bank is the median heuristic over distinct pairs of the pooled
     posts, and MMD^2 is ``mmd_squared`` under that bank. The pooled
-    distance matrix is never held whole: memory is
-    O((n_s + n_t) * GATE_BLOCK_ROWS).
+    distance matrix is never held whole: its blocks run on two threads, two
+    blocks at a time, folded in block order, so memory is
+    O((n_s + n_t) * GATE_BLOCK_ROWS) and d_k is that of the serial sum.
     """
     xs = corpus_representations(source, vocab, table)
     ys = corpus_representations(target, vocab, table)

@@ -311,11 +311,11 @@ def train(source: EventCorpus, target: EventCorpus,
     copy of that epoch's trained arrays (:func:`model.snapshot`), while the
     next epoch trains; one is in flight at a time, and the last is waited
     for. The evaluation scores its chunks one after another
-    (:func:`evaluation.predict`), so a run uses at most two Python threads,
-    and its outputs are the same as those of computing each accuracy in
-    turn: the evaluation draws from no generator. The worker has stopped
-    when ``train`` returns or raises, and an exception on it is raised here
-    as it was.
+    (:func:`evaluation.predict`), so after ``prepare`` (whose shift gate runs
+    two threads of its own, joined before it returns) a run uses at most two
+    Python threads. The outputs are those of computing each accuracy in turn:
+    the evaluation draws from no generator. The worker has stopped when
+    ``train`` returns or raises, and an exception on it is raised as it was.
     """
     for post in source.posts:
         if post.label is None:

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -36,6 +39,92 @@ def naive_mmd_squared(xs, ys, bank):
     kyy = sum(kern(a, b) for a in ys for b in ys) / (len(ys) ** 2)
     kxy = sum(kern(a, b) for a in xs for b in ys) / (len(xs) * len(ys))
     return kxx + kyy - 2.0 * kxy
+
+
+def serial_upper_blocks(pooled):
+    """The pooled distance blocks one after another on the calling thread."""
+    n, rows = len(pooled), mmd.GATE_BLOCK_ROWS
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        block = mmd._pairwise_sq_dists(pooled[i0:i1], pooled[i0:])
+        block[:, :i1 - i0][np.tril_indices(i1 - i0)] = np.inf
+        yield i0, block
+
+
+def serial_gate_median(pooled):
+    """The gate's median as three serial passes over the blocks (two here,
+    one in ``serial_mmd_squared``) compute it: the reference that the
+    two-blocks-at-a-time gate must equal bit for bit."""
+    n, dim = pooled.shape
+    centred = pooled - pooled.mean(axis=0)
+    hist = np.zeros(1 << (63 - mmd._KEY_SHIFT), dtype=np.int64)
+    for _, block in serial_upper_blocks(centred):
+        hist += np.bincount((block.view(np.int64) >> mmd._KEY_SHIFT).ravel(),
+                            minlength=hist.size)
+    _, copies = np.unique(pooled, axis=0, return_counts=True)
+    n_zero = int((copies * (copies - 1) // 2).sum())
+    n_pos = n * (n - 1) // 2 - n_zero
+    ranks = [n_zero + (n_pos - 1) // 2, n_zero + n_pos // 2]
+    first, last = np.searchsorted(np.cumsum(hist), ranks, side="right")
+    lo, hi = (np.array([first, last + 1]) << mmd._KEY_SHIFT).view(np.float64)
+    margin = 16.0 * (dim + 3) * np.finfo(np.float64).eps \
+        * float((centred ** 2).sum(axis=1).max())
+    lo, hi = lo - 2.0 * margin, hi + 2.0 * margin
+    below, direct, step = 0, [], mmd.GATE_BLOCK_ROWS
+    for i0, block in serial_upper_blocks(centred):
+        below += int(np.count_nonzero(block < lo))
+        rows, cols = np.nonzero((block >= lo) & (block <= hi))
+        for s in range(0, len(rows), step):
+            diff = pooled[i0 + rows[s:s + step]] - pooled[i0 + cols[s:s + step]]
+            direct.append((diff ** 2).sum(axis=1))
+    kept = np.partition(np.concatenate(direct), [r - below for r in ranks])
+    return float((kept[ranks[0] - below] + kept[ranks[1] - below]) / 2.0)
+
+
+def serial_mmd_squared(xs, ys, bank):
+    """``mmd_squared`` as one serial pass over the blocks sums it."""
+    if (len(ys), ys.tobytes()) < (len(xs), xs.tobytes()):
+        xs, ys = ys, xs
+    n_x, n_y, n_k = len(xs), len(ys), len(bank.sq_bandwidths)
+    centred = np.concatenate([xs, ys], axis=0)
+    centred -= centred.mean(axis=0)
+    s_xx = s_yy = s_xy = 0.0
+    for i0, block in serial_upper_blocks(centred):
+        src = max(n_x - i0, 0)
+        k, wider = np.empty_like(block), None
+        for s2 in bank.sq_bandwidths[::-1]:
+            if wider is not None and s2 * 2.0 == wider:
+                np.multiply(k, k, out=k)
+            else:
+                np.exp(np.divide(block, -2.0 * s2, out=k), out=k)
+            wider = s2
+            s_xx += float(k[:src, :src].sum())
+            s_xy += float(k[:src, src:].sum())
+            s_yy += float(k[src:, src:].sum())
+    kxx = (n_x * n_k + 2.0 * s_xx) / (n_k * n_x ** 2)
+    kyy = (n_y * n_k + 2.0 * s_yy) / (n_k * n_y ** 2)
+    kxy = s_xy / (n_k * n_x * n_y)
+    return kxx + kyy - 2.0 * kxy
+
+
+def within(seconds, fn):
+    """``fn()`` on a helper thread, waited for at most ``seconds``: its
+    result, or the exception it raised."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn()
+        except BaseException as e:  # handed to the caller below
+            out["error"] = e
+
+    helper = threading.Thread(target=run, daemon=True)
+    helper.start()
+    helper.join(seconds)
+    assert not helper.is_alive(), f"still running after {seconds} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
 
 
 class TestPostRepresentation:
@@ -172,6 +261,21 @@ class TestMmdSquared:
 
         assert peak(3000) < 3 * peak(1500)
 
+    def test_peak_memory_is_under_five_blocks(self):
+        """The serial sum held about four blocks at its peak (the previous
+        block and kernel matrix while the next block was made); two blocks
+        at a time stay under five."""
+        rng = np.random.default_rng(10)
+        xs, ys = rng.normal(size=(3000, 16)), rng.normal(loc=0.2, size=(3000, 16))
+        bank = KernelBank(np.array([0.5, 1.0, 3.0]))
+        tracemalloc.start()
+        try:
+            mmd_squared(xs, ys, bank)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * mmd.GATE_BLOCK_ROWS * 6000 * 8
+
     def test_scale_invariance_with_median_bank(self):
         rng = np.random.default_rng(4)
         xs, ys = rng.normal(size=(15, 3)), rng.normal(loc=1.0, size=(15, 3))
@@ -275,3 +379,107 @@ class TestBlockedGate:
                 tracemalloc.stop()
 
         assert peak(3000) < 3 * peak(1500)
+
+    def test_peak_memory_is_under_five_blocks(self):
+        source, target, vocab, table, _ = self.corpora(3000, 3000, 16)
+        shift_gate(source, target, vocab, table)  # fills source/target.tokens
+        tracemalloc.start()
+        try:
+            shift_gate(source, target, vocab, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * mmd.GATE_BLOCK_ROWS * 6000 * 8
+
+
+def pooled_samples(n_x, n_y, dim=3, seed=12):
+    """Two samples with repeated rows, within each and across the two."""
+    rng = np.random.default_rng(seed)
+    xs, ys = rng.normal(size=(n_x, dim)), rng.normal(loc=0.4, size=(n_y, dim))
+    xs[1:4] = xs[0]
+    ys[:2] = xs[5:7]
+    return xs, ys
+
+
+# (GATE_BLOCK_ROWS, n_x, n_y): every case leaves a one-row last block, and
+# puts the x/y boundary, after canonical ordering, inside a block.
+BLOCK_CASES = [(7, 10, 12), (7, 40, 31), (64, 100, 93)]
+
+
+class TestTwoBlocksAtATime:
+    """The gate's blocks run two at a time on two worker threads and are
+    folded in block order: every result is that of the serial loop."""
+
+    @pytest.mark.parametrize("rows,n_x,n_y", BLOCK_CASES)
+    def test_bit_for_bit_the_serial_loop(self, monkeypatch, rows, n_x, n_y):
+        monkeypatch.setattr(mmd, "GATE_BLOCK_ROWS", rows)
+        assert (n_x + n_y) % rows == 1 and min(n_x, n_y) % rows
+        xs, ys = pooled_samples(n_x, n_y)
+        pooled = np.concatenate([xs, ys])
+        median = mmd._gate_median(pooled)
+        assert median == serial_gate_median(pooled)
+        for bank in (mmd._median_bank(median), KernelBank(np.array([0.3, 1.0, 2.5]))):
+            assert mmd_squared(xs, ys, bank) == serial_mmd_squared(xs, ys, bank)
+
+    def test_bit_for_bit_under_frequent_thread_switches(self, monkeypatch):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for rows, n_x, n_y in BLOCK_CASES:
+                self.test_bit_for_bit_the_serial_loop(monkeypatch, rows, n_x, n_y)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_results_in_block_order_from_at_most_two_workers(self, monkeypatch):
+        monkeypatch.setattr(mmd, "GATE_BLOCK_ROWS", 7)
+        lock, workers, in_flight, most = threading.Lock(), set(), [0], [0]
+
+        def fn(i0, block):
+            with lock:
+                workers.add(threading.current_thread())
+                in_flight[0] += 1
+                most[0] = max(most[0], in_flight[0])
+            time.sleep(0.02 if i0 % 14 == 0 else 0.002)  # even blocks finish last
+            with lock:
+                in_flight[0] -= 1
+            return i0, len(block)
+
+        pooled, caller = np.random.default_rng(13).normal(size=(100, 3)), []
+
+        def blocks():
+            caller.append(threading.current_thread())
+            return list(mmd._upper_blocks(pooled, fn))
+
+        got = within(60, blocks)
+        assert got == [(i0, min(7, 100 - i0)) for i0 in range(0, 100, 7)]
+        assert len(workers) <= 2 and caller[0] not in workers
+        assert most[0] == 2
+
+    def test_no_thread_outlives_the_gate(self, monkeypatch):
+        monkeypatch.setattr(mmd, "GATE_BLOCK_ROWS", 7)
+        source, target, vocab, table, _ = TestBlockedGate.corpora(60, 50, 8)
+        threads = threading.active_count()
+        within(60, lambda: shift_gate(source, target, vocab, table))
+        assert threading.active_count() == threads
+
+    def test_a_failing_block_is_raised_after_both_workers_stop(self, monkeypatch):
+        monkeypatch.setattr(mmd, "GATE_BLOCK_ROWS", 7)
+        source, target, vocab, table, _ = TestBlockedGate.corpora(60, 50, 8)
+        failure = RuntimeError("third block failed")
+        pairwise, lock, workers = mmd._pairwise_sq_dists, threading.Lock(), set()
+
+        def failing_third(x, y):
+            with lock:
+                workers.add(threading.current_thread())
+            if len(y) == 110 - 2 * 7:  # the block of rows 14..20
+                raise failure
+            time.sleep(0.01)  # the other worker is still busy when it fails
+            return pairwise(x, y)
+
+        monkeypatch.setattr(mmd, "_pairwise_sq_dists", failing_third)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            within(60, lambda: shift_gate(source, target, vocab, table))
+        assert raised.value is failure
+        assert len(workers) == 2 and not any(t.is_alive() for t in workers)
+        assert threading.active_count() == threads
