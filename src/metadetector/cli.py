@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import os
 import sys
@@ -20,7 +19,7 @@ from .errors import ContractError, MetaDetectorError
 from .evaluation import evaluate, export_weights
 from .model import load_checkpoint, save_checkpoint
 from .text import load_corpus, save_corpus
-from .training import TrainConfig, history_to_csv, prepare, train
+from .training import TrainConfig, history_to_csv, prepare, train, write_csv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,13 +176,10 @@ def _cmd_eval(args) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(payload + "\n")
         if args.csv:
-            with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["class", "precision", "recall", "f1",
-                                 "tp", "fp", "tn", "fn"])
-                for name, m in report.per_class.items():
-                    writer.writerow([name, m.precision, m.recall, m.f1,
-                                     m.tp, m.fp, m.tn, m.fn])
+            write_csv(args.csv, ["class", "precision", "recall", "f1",
+                                 "tp", "fp", "tn", "fn"],
+                      ([name, m.precision, m.recall, m.f1, m.tp, m.fp, m.tn, m.fn]
+                       for name, m in report.per_class.items()))
     print(payload)
     print(report.to_table(), file=sys.stderr)
     return 0
@@ -195,11 +191,9 @@ def _cmd_weights(args) -> int:
         corpus = load_corpus(args.corpus, role="source")
         ranking = export_weights(params, corpus, top_n=args.top_n)
         if args.csv:
-            with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["post_id", "weight", "pseudo_prob", "excerpt"])
-                for e in ranking.entries:
-                    writer.writerow([e.post_id, e.weight, e.pseudo_prob, e.excerpt])
+            write_csv(args.csv, ["post_id", "weight", "pseudo_prob", "excerpt"],
+                      ([e.post_id, e.weight, e.pseudo_prob, e.excerpt]
+                       for e in ranking.entries))
     print(json.dumps(ranking.to_dict()))
     return 0
 

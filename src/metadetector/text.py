@@ -257,15 +257,19 @@ def _parse_post(raw: bytes) -> Optional[Post]:
         return None
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON ({exc.msg})") from None
+    except ValueError as exc:  # bad JSON, or an integer too long to convert
+        raise ParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})") from None
     if not isinstance(obj, dict):
         raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
     try:
-        post = Post(id=str(obj["id"]), text=obj["text"],
+        post = Post(id=obj["id"], text=obj["text"],
                     label=obj["label"], event_id=obj["event"])
     except KeyError as exc:
         raise ParseError(f"missing field {exc.args[0]!r}") from None
+    # an integer id loads as its decimal string; bool is an int subclass
+    if type(post.id) is not int and not isinstance(post.id, str):
+        raise ParseError(f"id must be a string or an integer, got {json.dumps(post.id)}")
+    post.id = str(post.id)
     if not isinstance(post.text, str):
         raise ParseError("text must be a string")
     if not isinstance(post.event_id, str):

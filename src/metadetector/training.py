@@ -13,7 +13,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -128,11 +128,6 @@ class TrainConfig:
         except ConfigurationError as exc:
             raise ConfigurationError(f"{path}: {exc}") from None
 
-    def to_file(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2)
-            fh.write("\n")
-
 
 @dataclass
 class EpochRecord:
@@ -150,6 +145,15 @@ class EpochRecord:
 # -- losses ---------------------------------------------------------------
 
 
+def _nll_term(p: np.ndarray, weights) -> tuple[float, Callable]:
+    """``sum(log(p) * weights) / len(p)``, with ``p`` clamped at ``LOG_CLAMP``,
+    and the map from this term's gradient ``g`` to the gradient in ``p``."""
+    log_p, clamped, kept = _clamped_log(p)
+    scale = 1.0 / len(p)  # a mean is its sum times 1/n
+    return ((log_p * weights).sum() * scale,
+            lambda g: np.where(kept, g * scale * weights / clamped, 0.0))
+
+
 def loss_detection_weighted(probs: Tensor, labels: np.ndarray,
                             weights: np.ndarray) -> Tensor:
     """Weighted two-class cross-entropy, mean over the batch, as one node."""
@@ -161,14 +165,8 @@ def loss_detection_weighted(probs: Tensor, labels: np.ndarray,
             f"got {n} rows but {len(labels)} labels / {len(weights)} weights")
     onehot = np.zeros((n, 2))
     onehot[np.arange(n), labels] = 1.0
-    log_p, clamped, kept = _clamped_log((probs.data * onehot).sum(axis=1))
-    scale = 1.0 / n  # a mean is its sum times 1/n
-
-    def bwd(g) -> tuple:
-        g_picked = np.where(kept, -g * scale * weights / clamped, 0.0)
-        return (g_picked[:, None] * onehot,)
-
-    return _op(-((log_p * weights).sum() * scale), (probs,), bwd)
+    term, grad = _nll_term((probs.data * onehot).sum(axis=1), weights)
+    return _op(-term, (probs,), lambda g: (grad(-g)[:, None] * onehot,))
 
 
 def loss_event_weighted(src_probs: Tensor, tgt_probs: Tensor,
@@ -179,16 +177,10 @@ def loss_event_weighted(src_probs: Tensor, tgt_probs: Tensor,
     if len(weights) != src_probs.shape[0]:
         raise ContractError(
             f"{src_probs.shape[0]} source probs but {len(weights)} weights")
-    log_s, clamped_s, kept_s = _clamped_log(src_probs.data)
-    log_t, clamped_t, kept_t = _clamped_log(1.0 - tgt_probs.data)
-    scale_s, scale_t = 1.0 / len(log_s), 1.0 / len(log_t)
-
-    def bwd(g) -> tuple:
-        return (np.where(kept_s, -g * scale_s * weights / clamped_s, 0.0),
-                -np.where(kept_t, -g * scale_t / clamped_t, 0.0))
-
-    return _op(-((log_s * weights).sum() * scale_s + log_t.sum() * scale_t),
-               (src_probs, tgt_probs), bwd)
+    term_s, grad_s = _nll_term(src_probs.data, weights)
+    term_t, grad_t = _nll_term(1.0 - tgt_probs.data, 1.0)
+    return _op(-(term_s + term_t), (src_probs, tgt_probs),
+               lambda g: (grad_s(-g), -grad_t(-g)))
 
 
 def loss_pseudo(src_probs: Tensor, tgt_probs: Tensor) -> Tensor:
@@ -335,11 +327,7 @@ def train(source: EventCorpus, target: EventCorpus,
 
     trained = trained_tensors(params)
     history: list[EpochRecord] = []
-    pending = None  # the last epoch's record fields and its target accuracy
-
-    def collect() -> None:
-        values, accuracy = pending
-        history.append(EpochRecord(**values, target_accuracy=accuracy.result()))
+    accuracy = None  # history[-1]'s target accuracy, in flight on the worker
 
     # the block joins the worker however the run ends
     with ThreadPoolExecutor(max_workers=1) as pool:
@@ -387,28 +375,28 @@ def train(source: EventCorpus, target: EventCorpus,
                 wsum += float(w.sum())
                 wcount += len(w)
 
-            if pending is not None:
-                collect()
-            pending = (dict(epoch=epoch,
-                            loss_detection=sums["yw"] / n_batches,
-                            loss_event=sums["ew"] / n_batches,
-                            loss_pseudo=sums["pe"] / n_batches,
-                            source_accuracy=correct / wcount,
-                            weight_mean=wsum / wcount,
-                            weight_min=wmin,
-                            weight_max=wmax),
-                       pool.submit(_accuracy, snapshot(params), ids_t, y_t))
-        collect()
+            if accuracy is not None:
+                history[-1].target_accuracy = accuracy.result()
+            history.append(EpochRecord(
+                epoch=epoch, loss_detection=sums["yw"] / n_batches,
+                loss_event=sums["ew"] / n_batches, loss_pseudo=sums["pe"] / n_batches,
+                source_accuracy=correct / wcount, target_accuracy=None,
+                weight_mean=wsum / wcount, weight_min=wmin, weight_max=wmax))
+            accuracy = pool.submit(_accuracy, snapshot(params), ids_t, y_t)
+        history[-1].target_accuracy = accuracy.result()
 
     return params, history, shift
 
 
-HISTORY_COLUMNS = [f.name for f in fields(EpochRecord)]
+def write_csv(path: str, header: list[str], rows: Iterable) -> None:
+    """Write ``header``, then ``rows``, to ``path`` as CSV."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        # csv writes None as "" and a float by its repr
+        writer.writerows(rows)
 
 
 def history_to_csv(history: list[EpochRecord], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HISTORY_COLUMNS)
-        # csv writes None as "" and a float by its repr
-        writer.writerows(astuple(rec) for rec in history)
+    write_csv(path, [f.name for f in fields(EpochRecord)],
+              (astuple(rec) for rec in history))

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import shlex
@@ -375,6 +376,37 @@ def test_scoring_refuses_an_unwritable_output_before_scoring(command, unwritable
     assert list(tmp_path.iterdir()) == []
 
 
+def test_eval_and_weights_csv_read_back_as_the_json(capsys, corpora, checkpoint,
+                                                    tmp_path):
+    src, tgt = corpora
+    eval_csv, weights_csv = tmp_path / "eval.csv", tmp_path / "weights.csv"
+    code, out, _ = run_cli(capsys, "eval", "--checkpoint", checkpoint,
+                           "--corpus", tgt, "--csv", str(eval_csv))
+    assert code == 0
+    report = json.loads(out)
+    with open(eval_csv, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    columns = ["precision", "recall", "f1", "tp", "fp", "tn", "fn"]
+    assert header == ["class", *columns]
+    assert [row[0] for row in rows] == list(report["per_class"])
+    for row in rows:
+        metrics = report["per_class"][row[0]]
+        assert [float(field) for field in row[1:]] == [metrics[c] for c in columns]
+
+    # a top_n of every post makes "top" the whole ranking
+    code, out, _ = run_cli(capsys, "weights", "--checkpoint", checkpoint,
+                           "--corpus", src, "--top-n", "80", "--csv", str(weights_csv))
+    assert code == 0
+    ranking = json.loads(out)["top"]
+    with open(weights_csv, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["post_id", "weight", "pseudo_prob", "excerpt"]
+    assert len(rows) == len(ranking) == 80
+    for row, entry in zip(rows, ranking):
+        assert row[0] == entry["post_id"] and row[3] == entry["excerpt"]
+        assert (float(row[1]), float(row[2])) == (entry["weight"], entry["pseudo_prob"])
+
+
 def test_weights_top_n_zero_is_empty(capsys, corpora, checkpoint):
     src, _ = corpora
     code, out, _ = run_cli(capsys, "weights", "--checkpoint", checkpoint,
@@ -449,6 +481,10 @@ def _write_bad_input(case, d, checkpoint):
             "corpus-label-bool": _jsonl({**GOOD_POST, "label": True}),
             "corpus-mixed-events": _jsonl({**GOOD_POST, "event": "other"}),
             "corpus-lone-surrogate": _jsonl({**GOOD_POST, "text": "ok \ud800"}),
+            "corpus-id-null": _jsonl({**GOOD_POST, "id": None}),
+            "corpus-id-float": _jsonl({**GOOD_POST, "id": 1.5}),
+            "corpus-huge-integer": _jsonl(GOOD_POST).replace('"label": 1',
+                                                             '"label": 1' + "0" * 5000),
         }[case]
         path.write_text(_jsonl(GOOD_POST) + second)
         return path, "corpus"
@@ -503,6 +539,7 @@ NOT_ZIP = ["checkpoint-not-npz", "checkpoint-corpus", "checkpoint-csv",
 
 BAD_INPUTS = ["corpus-missing", "corpus-array-line", "corpus-text-not-string",
               "corpus-label-bool", "corpus-mixed-events", "corpus-lone-surrogate",
+              "corpus-id-null", "corpus-id-float", "corpus-huge-integer",
               "checkpoint-missing", *NOT_ZIP, "checkpoint-truncated",
               *CHECKPOINT_TAMPERS,
               "config-missing", "config-invalid-json", "config-not-object",

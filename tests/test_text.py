@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import string
@@ -359,6 +360,27 @@ class TestCorpusIO:
         path = tmp_path / "c.jsonl"
         path.write_text('{"id": "1", "text": "x", "label": 2, "event": "e"}\n')
         with pytest.raises(ParseError, match="line 1"):
+            load_corpus(str(path), role="source")
+
+    @pytest.mark.parametrize("post_id", [None, True, 1.5, [1, 2], {"a": 1}])
+    def test_id_neither_string_nor_integer_rejected(self, tmp_path, post_id):
+        path = tmp_path / "c.jsonl"
+        post = {"id": "0", "text": "x", "label": 1, "event": "e"}
+        path.write_text(json.dumps(post) + "\n" + json.dumps({**post, "id": post_id}) + "\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}, line 2: id must be")):
+            load_corpus(str(path), role="source")
+
+    def test_integer_id_loads_as_its_decimal_string(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text("".join(json.dumps({"id": i, "text": "x", "label": 1, "event": "e"})
+                                + "\n" for i in (7, -3, 0, 10 ** 30)))
+        ids = [p.id for p in load_corpus(str(path), role="source").posts]
+        assert ids == ["7", "-3", "0", str(10 ** 30)]
+
+    def test_integer_too_long_to_convert_rejected(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "1", "text": "x", "label": 1' + "0" * 5000 + ', "event": "e"}\n')
+        with pytest.raises(ParseError, match=re.escape(f"{path}, line 1: invalid JSON")):
             load_corpus(str(path), role="source")
 
     def test_missing_field_rejected(self, tmp_path):

@@ -1,5 +1,7 @@
+import json
 import math
 import threading
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -38,7 +40,8 @@ class TestTrainConfig:
 
     def test_file_roundtrip(self, tmp_path):
         path = str(tmp_path / "cfg.json")
-        TrainConfig(epochs=5, lr=0.1).to_file(path)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(asdict(TrainConfig(epochs=5, lr=0.1)), fh)
         cfg = TrainConfig.from_file(path)
         assert cfg.epochs == 5 and cfg.lr == 0.1
 
