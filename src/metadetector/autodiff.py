@@ -1,16 +1,17 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Provides exactly the operations the detection model needs (the fused
-Text-CNN feature op, relu, inverted dropout, a row split) plus a
-gradient-reversal node. The model's heads and the training losses are
-fused ops too, each one tape node, made with :func:`_op` in ``model`` and
-``training``; ``matmul``, ``sigmoid`` and ``softmax_rows`` stay as the
-primitives those fused ops are tested against, as the unfused embedding
-lookup, valid text convolution and max-over-time pooling stay for
-``text_cnn``. Graphs are implicit tapes: each op output records its parent
-tensors and a backward closure, and :func:`backward` walks the tape in
-reverse topological order and hands each leaf tensor that requires grad its
-gradient. No general broadcasting, no GPU, no higher-order derivatives.
+A :class:`Tensor` is a tape node: an array, whether it requires grad, its
+parent tensors and a backward closure, with no arithmetic of its own.
+:func:`_op` makes one; the ops here are the fused Text-CNN feature op, relu,
+inverted dropout, a row split and the gradient-reversal node, and the
+model's heads and the training losses are fused ops made with it in
+``model`` and ``training``. ``matmul``, ``concat``, ``sigmoid``,
+``softmax_rows`` and the batch-only embedding lookup, valid text
+convolution and max-over-time pooling run in no command: the benchmark's
+tracer wraps them, and the tests build from them the composites the fused
+ops are checked against. :func:`backward` walks the tape in reverse
+topological order and hands each leaf tensor that requires grad its
+gradient. No broadcasting, no GPU, no higher-order derivatives.
 """
 
 from __future__ import annotations
@@ -50,15 +51,9 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Optional[Callable[[np.ndarray], tuple]] = None
 
-    # -- bookkeeping ------------------------------------------------------
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
 
     @property
     def size(self) -> int:
@@ -71,82 +66,12 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # -- elementwise arithmetic -------------------------------------------
-
-    def __add__(self, other) -> "Tensor":
-        other = _as_tensor(other)
-        data = self.data + other.data
-        sa, sb = self.shape, other.shape
-        return _op(data, (self, other),
-                   lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "Tensor":
-        other = _as_tensor(other)
-        data = self.data * other.data
-        a, b = self, other
-        return _op(data, (a, b),
-                   lambda g: (_unbroadcast(g * b.data, a.shape),
-                              _unbroadcast(g * a.data, b.shape)))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Tensor":
-        return _op(-self.data, (self,), lambda g: (-g,))
-
-    def __sub__(self, other) -> "Tensor":
-        return self + (-_as_tensor(other))
-
-    def __rsub__(self, other) -> "Tensor":
-        return _as_tensor(other) + (-self)
-
-    # -- reductions / shape -----------------------------------------------
-
-    def sum(self, axis: Optional[int] = None) -> "Tensor":
-        data = self.data.sum(axis=axis)
-        shape = self.shape
-
-        def bwd(g: np.ndarray) -> tuple:
-            if axis is None:
-                return (np.broadcast_to(g, shape).copy(),)
-            return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
-
-        return _op(data, (self,), bwd)
-
-    def mean(self, axis: Optional[int] = None) -> "Tensor":
-        n = self.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis) * (1.0 / n)
-
-    def log(self) -> "Tensor":
-        """Natural log with the argument clamped at ``LOG_CLAMP``."""
-        out, clamped, kept = _clamped_log(self.data)
-        return _op(out, (self,), lambda g: (np.where(kept, g / clamped, 0.0),))
-
-    def reshape(self, shape: tuple[int, ...]) -> "Tensor":
-        old = self.shape
-        return _op(self.data.reshape(shape), (self,),
-                   lambda g: (g.reshape(old),))
-
-    @property
-    def T(self) -> "Tensor":
-        if self.ndim != 2:
-            raise DimensionError(f"transpose expects a matrix, got shape {self.shape}")
-        return _op(self.data.T.copy(), (self,), lambda g: (g.T,))
-
 
 def _clamped_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """log of ``p`` clamped at ``LOG_CLAMP``, the clamped values, and where
     the clamp leaves ``p`` as it is (the log's gradient is 0 elsewhere)."""
     clamped = np.maximum(p, LOG_CLAMP)
     return np.log(clamped), clamped, p >= LOG_CLAMP
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _op(data: np.ndarray, parents: Sequence[Tensor],
@@ -157,22 +82,12 @@ def _op(data: np.ndarray, parents: Sequence[Tensor],
     return out
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # collapse gradient of a broadcast operand back to its own shape
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for i, s in enumerate(shape):
-        if s == 1 and grad.shape[i] != 1:
-            grad = grad.sum(axis=i, keepdims=True)
-    return grad
-
-
 # -- linear algebra ---------------------------------------------------------
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two 2-D tensors."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     return _op(a.data @ b.data, (a, b),
                lambda g: (g @ b.data.T, a.data.T @ g))
@@ -240,7 +155,7 @@ def _softmax_rows_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax of a 2-D tensor, max-subtraction stabilized."""
-    if x.ndim != 2:
+    if x.data.ndim != 2:
         raise DimensionError(f"softmax_rows expects a matrix, got shape {x.shape}")
     s = _softmax_rows(x.data)
     return _op(s, (x,), lambda g: (_softmax_rows_grad(s, g),))
@@ -252,23 +167,22 @@ def softmax_rows(x: Tensor) -> Tensor:
 def conv_text(x: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
     """Valid 1-D convolution over token positions, stride 1.
 
-    ``x`` is ``(d, k)`` or batched ``(B, d, k)``; ``filters`` is
-    ``(n_c, d, h)``; output has ``k - h + 1`` positions per filter.
+    ``x`` is ``(B, d, k)``; ``filters`` is ``(n_c, d, h)``; the output is
+    ``(B, n_c, k - h + 1)``.
     """
-    batched = x.ndim == 3
-    x3 = x if batched else x.reshape((1,) + x.shape)
-    _, d, k = x3.shape
+    if x.data.ndim != 3:
+        raise DimensionError(f"conv_text expects (B, d, k), got shape {x.shape}")
+    B, d, k = x.shape
     n_c, fd, h = filters.shape
     if fd != d:
         raise DimensionError(f"filter width {fd} != embedding dim {d}")
     if h > k:
         raise ConfigurationError(f"window size {h} exceeds sequence length {k}")
 
-    windows = np.lib.stride_tricks.sliding_window_view(x3.data, h, axis=2)
+    windows = np.lib.stride_tricks.sliding_window_view(x.data, h, axis=2)
     # windows: (B, d, L, h) with L = k - h + 1; flatten to (B, L, d*h) so the
     # contraction runs through BLAS rather than a generic einsum loop.
     L = k - h + 1
-    B = x3.shape[0]
     win_flat = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(B, L, d * h)
     filt_flat = filters.data.reshape(n_c, d * h)
     data = (win_flat @ filt_flat.T).transpose(0, 2, 1)
@@ -277,15 +191,14 @@ def conv_text(x: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
     def bwd(g: np.ndarray) -> tuple:
         g_bl = np.ascontiguousarray(g.transpose(0, 2, 1))  # (B, L, n_c)
         gwin = (g_bl @ filt_flat).reshape(B, L, d, h)
-        gx = np.zeros_like(x3.data)
+        gx = np.zeros_like(x.data)
         for j in range(h):  # loop over filter offsets, not positions
             gx[:, :, j:j + L] += gwin[:, :, :, j].transpose(0, 2, 1)
         gf = np.tensordot(g_bl, win_flat, axes=([0, 1], [0, 1])).reshape(n_c, d, h)
         gb = g.sum(axis=(0, 2))
         return gx, gf, gb
 
-    out = _op(data, (x3, filters, bias), bwd)
-    return out if batched else out.reshape((n_c, L))
+    return _op(data, (x, filters, bias), bwd)
 
 
 def max_pool_full(c: Tensor) -> Tensor:
@@ -419,36 +332,23 @@ def grl(x: Tensor, lam: float) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Gather embedding rows as columns.
-
-    ``ids`` of shape ``(k,)`` yields ``(d, k)``; shape ``(B, k)`` yields
-    ``(B, d, k)``. Row 0 (PAD) never receives gradient.
-    """
+    """Gather embedding rows as columns: ``(B, k)`` ids give ``(B, d, k)``.
+    Row 0 (PAD) never receives gradient."""
     ids = np.asarray(ids)
+    if ids.ndim != 2:
+        raise DimensionError(f"ids must be 2-D, got shape {ids.shape}")
     vocab_size, d = table.shape
     if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
         raise VocabMismatchError(
             f"token id out of range for table of size {vocab_size}")
-    if ids.ndim == 1:
-        data = table.data[ids].T  # (d, k)
-    elif ids.ndim == 2:
-        data = table.data[ids].transpose(0, 2, 1)  # (B, d, k)
-    else:
-        raise DimensionError(f"ids must be 1-D or 2-D, got shape {ids.shape}")
 
     def bwd(g: np.ndarray) -> tuple:
         gt = np.zeros((vocab_size, d))
-        if ids.ndim == 1:
-            cols = g.T  # (k, d)
-            flat = ids
-        else:
-            cols = g.transpose(0, 2, 1).reshape(-1, d)
-            flat = ids.reshape(-1)
-        np.add.at(gt, flat, cols)
+        np.add.at(gt, ids.reshape(-1), g.transpose(0, 2, 1).reshape(-1, d))
         gt[0] = 0.0  # PAD row stays frozen
         return (gt,)
 
-    return _op(data, (table,), bwd)
+    return _op(table.data[ids].transpose(0, 2, 1), (table,), bwd)
 
 
 # -- backward pass ------------------------------------------------------------

@@ -92,23 +92,17 @@ class ModelParams:
 
     def _discriminator(self, head: str) -> DiscriminatorParams:
         return DiscriminatorParams(*(self.tensors[f"{head}_{part}"]
-                                     for part, _ in _disc_shapes(FEATURE_DIM, DISC_HIDDEN)))
+                                     for part, _ in _disc_shapes()))
 
     theta_y = property(lambda self: DetectorParams(self.tensors["y_w"], self.tensors["y_b"]))
     theta_e = property(lambda self: self._discriminator("e"))
     theta_pe = property(lambda self: self._discriminator("pe"))
 
 
-def _disc_shapes(in_dim: int, hidden: int):
+def _disc_shapes():
     """(part, shape) of a discriminator's arrays, in field order."""
-    return (("w1", (hidden, in_dim)), ("b1", (hidden,)),
-            ("w2", (1, hidden)), ("b2", (1,)))
-
-
-def init_discriminator(rng: np.random.Generator, in_dim: int = FEATURE_DIM,
-                       hidden: int = DISC_HIDDEN) -> DiscriminatorParams:
-    return DiscriminatorParams(*(_init_array(rng, shape)
-                                 for _, shape in _disc_shapes(in_dim, hidden)))
+    return (("w1", (DISC_HIDDEN, FEATURE_DIM)), ("b1", (DISC_HIDDEN,)),
+            ("w2", (1, DISC_HIDDEN)), ("b2", (1,)))
 
 
 def init_model(vocab: Vocabulary, table: Tensor, k: int, seed: int,
@@ -251,7 +245,7 @@ def _array_shapes(n_vocab: int, d: int, w_max: int, n_filters: int):
     yield "y_w", (2, FEATURE_DIM)
     yield "y_b", (2,)
     for head in ("e", "pe"):
-        for part, shape in _disc_shapes(FEATURE_DIM, DISC_HIDDEN):
+        for part, shape in _disc_shapes():
             yield f"{head}_{part}", shape
 
 

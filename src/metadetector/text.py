@@ -181,7 +181,7 @@ def random_table(vocab_size: int, dim: int, rng: np.random.Generator) -> Tensor:
 
 
 def embed(ids: np.ndarray, table: Tensor) -> Tensor:
-    """Columns are the embeddings of ``ids``; shape (d, k) or (B, d, k)."""
+    """Columns are the embeddings of ``(B, k)`` ``ids``: shape (B, d, k)."""
     return embedding_lookup(table, ids)
 
 

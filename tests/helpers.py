@@ -1,12 +1,18 @@
-"""Shared test utilities: finite-difference oracles and model fixtures."""
+"""Shared test utilities: finite-difference oracles, model fixtures, and the
+tape nodes that test seeds and the unfused reference composites are built
+from."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from metadetector.autodiff import Tensor, backward
+from metadetector.autodiff import Tensor, _clamped_log, _op, backward
 from metadetector.model import (
+    DISC_HIDDEN,
+    FEATURE_DIM,
+    DiscriminatorParams,
     ModelParams,
+    _init_array,
     detect,
     discriminate_event,
     extract_features,
@@ -23,6 +29,58 @@ from metadetector.training import (
 )
 
 FD_STEP = 1e-5
+
+
+# -- reference nodes: each makes the floats and gradients of one former
+# ``Tensor`` operator, for the shapes the tests use
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """``a + b``; ``b`` is of ``a``'s shape or a bias added to each row."""
+    return _op(a.data + b.data, (a, b),
+               lambda g: (g, g if b.data.ndim == g.ndim else g.sum(axis=0)))
+
+
+def mul(a: Tensor, b) -> Tensor:
+    """``a * b`` elementwise; ``b`` is a tensor, an array or a number that
+    broadcasts onto ``a``."""
+    b = b if isinstance(b, Tensor) else Tensor(b)
+    return _op(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+
+
+def neg(x: Tensor) -> Tensor:
+    return _op(-x.data, (x,), lambda g: (-g,))
+
+
+def one_minus(x: Tensor) -> Tensor:
+    return _op(1.0 - x.data, (x,), lambda g: (-g,))
+
+
+def total(x: Tensor, axis=None) -> Tensor:
+    """``x.sum(axis)``; a sum over every axis is a scalar seed for backward."""
+    return _op(x.data.sum(axis=axis), (x,), lambda g: (np.broadcast_to(
+        g if axis is None else np.expand_dims(g, axis), x.shape).copy(),))
+
+
+def mean(x: Tensor) -> Tensor:
+    """The sum of every entry times ``1 / x.size``."""
+    n = x.size
+    return _op(x.data.sum() * (1.0 / n), (x,),
+               lambda g: (np.broadcast_to(g * (1.0 / n), x.shape).copy(),))
+
+
+def log(x: Tensor) -> Tensor:
+    """Natural log with the argument clamped at ``LOG_CLAMP``."""
+    out, clamped, kept = _clamped_log(x.data)
+    return _op(out, (x,), lambda g: (np.where(kept, g / clamped, 0.0),))
+
+
+def transpose(x: Tensor) -> Tensor:
+    return _op(x.data.T.copy(), (x,), lambda g: (g.T,))
+
+
+def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    return _op(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.shape),))
 
 
 def central_difference(f, tensor: Tensor, step: float = FD_STEP) -> np.ndarray:
@@ -59,6 +117,13 @@ def build_tiny_model(vocab_size=50, dim=8, k=12, n_filters=4, w_max=3,
     vocab = tiny_vocab(vocab_size)
     table = random_table(vocab_size, dim, np.random.default_rng(seed))
     return init_model(vocab, table, k, seed, n_filters=n_filters, w_max=w_max)
+
+
+def init_discriminator(rng: np.random.Generator, in_dim: int = FEATURE_DIM,
+                       hidden: int = DISC_HIDDEN) -> DiscriminatorParams:
+    """A discriminator head drawn as ``init_model`` draws one, any width."""
+    shapes = ((hidden, in_dim), (hidden,), (1, hidden), (1,))
+    return DiscriminatorParams(*(_init_array(rng, shape) for shape in shapes))
 
 
 def random_batch(params: ModelParams, b_s=3, b_t=3, seed=11):

@@ -21,9 +21,11 @@ from helpers import (
     build_tiny_model,
     central_difference,
     forward_losses,
+    init_discriminator,
     model_blocks,
     random_batch,
     rel_error,
+    total,
 )
 from metadetector.autodiff import Tensor, backward, grl, matmul, relu
 from metadetector.data_synth import SynthSpec, generate, inject_anomalies
@@ -43,7 +45,6 @@ from metadetector.model import (
     _discriminator_head,
     detect,
     extract_features,
-    init_discriminator,
     pseudo_discriminate,
     trained_tensors,
 )
@@ -97,13 +98,13 @@ def test_criterion_02_grl_contract():
     details = []
     for lam in (0.0, 0.5, 1.0, 2.0):
         x_plain = Tensor(x_data.copy(), requires_grad=True)
-        loss_plain = relu(matmul(x_plain, Tensor(w))).sum()
+        loss_plain = total(relu(matmul(x_plain, Tensor(w))))
         backward(loss_plain)
 
         x_rev = Tensor(x_data.copy(), requires_grad=True)
         reversed_x = grl(x_rev, lam)
         forward_identical = np.array_equal(reversed_x.data, x_rev.data)
-        loss_rev = relu(matmul(reversed_x, Tensor(w))).sum()
+        loss_rev = total(relu(matmul(reversed_x, Tensor(w))))
         backward(loss_rev)
 
         # -lam is a power of two for every tested lam, so equality is exact

@@ -42,7 +42,21 @@ from metadetector.training import (
     loss_event_weighted,
     total_loss,
 )
-from helpers import build_tiny_model, central_difference, random_batch, rel_error
+from helpers import (
+    add,
+    build_tiny_model,
+    central_difference,
+    log,
+    mean,
+    mul,
+    neg,
+    one_minus,
+    random_batch,
+    rel_error,
+    reshape,
+    total,
+    transpose,
+)
 
 
 class TestMatmul:
@@ -62,7 +76,7 @@ class TestMatmul:
     def test_gradient_matches_central_differences(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
         b = Tensor(np.eye(2))
-        backward(matmul(a, b).sum())
+        backward(total(matmul(a, b)))
         fd = central_difference(lambda: matmul(a, b).data.sum(), a)
         assert rel_error(a.grad, fd) < 1e-6
 
@@ -78,7 +92,7 @@ class TestActivations:
 
     def test_relu_gradient_mask(self):
         x = Tensor([-1.0, 2.0], requires_grad=True)
-        backward(relu(x).sum())
+        backward(total(relu(x)))
         assert x.grad.tolist() == [0.0, 1.0]
 
     def test_sigmoid_at_zero(self):
@@ -90,7 +104,7 @@ class TestActivations:
 
     def test_sigmoid_gradient_at_zero(self):
         x = Tensor([0.0], requires_grad=True)
-        backward(sigmoid(x).sum())
+        backward(total(sigmoid(x)))
         assert x.grad[0] == pytest.approx(0.25)
 
 
@@ -116,33 +130,38 @@ class TestSoftmaxRows:
 
 class TestConvText:
     def test_output_length(self):
-        x = Tensor(np.random.default_rng(1).normal(size=(4, 10)))
+        x = Tensor(np.random.default_rng(1).normal(size=(1, 4, 10)))
         f = Tensor(np.random.default_rng(2).normal(size=(3, 4, 3)))
         out = conv_text(x, f, Tensor(np.zeros(3)))
-        assert out.shape == (3, 8)  # k - h + 1
+        assert out.shape == (1, 3, 8)  # k - h + 1
 
     def test_zero_input_zero_bias(self):
-        out = conv_text(Tensor(np.zeros((2, 5))),
+        out = conv_text(Tensor(np.zeros((1, 2, 5))),
                         Tensor(np.ones((3, 2, 2))), Tensor(np.zeros(3)))
-        assert np.array_equal(out.data, np.zeros((3, 4)))
+        assert np.array_equal(out.data, np.zeros((1, 3, 4)))
 
     def test_dot_product_arithmetic(self):
-        x = Tensor([[1.0, 2.0, 3.0]])
+        x = Tensor([[[1.0, 2.0, 3.0]]])
         f = Tensor([[[1.0, 1.0]]])
         out = conv_text(x, f, Tensor([0.0]))
-        assert out.data.tolist() == [[3.0, 5.0]]
+        assert out.data.tolist() == [[[3.0, 5.0]]]
 
     def test_window_too_large(self):
         with pytest.raises(ConfigurationError):
-            conv_text(Tensor(np.zeros((2, 3))),
+            conv_text(Tensor(np.zeros((1, 2, 3))),
                       Tensor(np.zeros((1, 2, 4))), Tensor(np.zeros(1)))
+
+    def test_unbatched_input_rejected(self):
+        with pytest.raises(DimensionError):
+            conv_text(Tensor(np.zeros((2, 3))),
+                      Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros(1)))
 
     def test_gradients_match_central_differences(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
         f = Tensor(rng.normal(size=(2, 3, 2)), requires_grad=True)
         b = Tensor(rng.normal(size=2), requires_grad=True)
-        backward(conv_text(x, f, b).sum())
+        backward(total(conv_text(x, f, b)))
         for t in (x, f, b):
             fd = central_difference(lambda: conv_text(x, f, b).data.sum(), t)
             assert rel_error(t.grad, fd) < 1e-6
@@ -156,7 +175,7 @@ class TestMaxPool:
         c = Tensor([[2.0, 2.0]], requires_grad=True)
         out = max_pool_full(c)
         assert out.data.tolist() == [2.0]
-        backward(out.sum())
+        backward(total(out))
         assert c.grad.tolist() == [[1.0, 0.0]]
 
     def test_constant_row(self):
@@ -198,19 +217,19 @@ class TestGrl:
 
     def test_backward_negates(self):
         x = Tensor([1.0], requires_grad=True)
-        backward((grl(x, 1.0) * 0.5).sum())
+        backward(total(mul(grl(x, 1.0), 0.5)))
         assert x.grad[0] == -0.5
 
     def test_lambda_zero_freezes(self):
         x = Tensor([3.0], requires_grad=True)
-        backward(grl(x, 0.0).sum())
+        backward(total(grl(x, 0.0)))
         assert x.grad[0] == 0.0
 
 
 class TestBackward:
     def test_sum_of_leaf_gives_ones(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        backward(x.sum())
+        backward(total(x))
         assert np.array_equal(x.grad, np.ones((2, 3)))
 
     def test_non_scalar_seed_rejected(self):
@@ -219,7 +238,7 @@ class TestBackward:
 
     def test_accumulation_doubles(self):
         x = Tensor([2.0], requires_grad=True)
-        out = (x * x).sum()
+        out = total(mul(x, x))
         backward(out)
         first = x.grad.copy()
         backward(out)
@@ -231,9 +250,9 @@ class TestBackward:
         w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
 
         def f():
-            return softmax_rows(matmul(relu(a), w)).log().sum().data.sum()
+            return total(log(softmax_rows(matmul(relu(a), w)))).data.sum()
 
-        backward(softmax_rows(matmul(relu(a), w)).log().sum())
+        backward(total(log(softmax_rows(matmul(relu(a), w)))))
         for t in (a, w):
             fd = central_difference(f, t)
             assert rel_error(t.grad, fd) < 1e-4
@@ -242,20 +261,22 @@ class TestBackward:
 class TestEmbeddingLookup:
     def test_gather_shapes(self):
         table = Tensor(np.arange(12.0).reshape(4, 3))
-        out = embedding_lookup(table, np.array([1, 2]))
-        assert out.shape == (3, 2)
+        out = embedding_lookup(table, np.array([[1, 2]]))
+        assert out.shape == (1, 3, 2)
         out = embedding_lookup(table, np.array([[1, 2], [3, 0]]))
         assert out.shape == (2, 3, 2)
+        with pytest.raises(DimensionError):
+            embedding_lookup(table, np.array([1, 2]))
 
     def test_out_of_range(self):
         table = Tensor(np.zeros((4, 3)))
         with pytest.raises(VocabMismatchError):
-            embedding_lookup(table, np.array([4]))
+            embedding_lookup(table, np.array([[4]]))
 
     def test_pad_row_receives_no_gradient(self):
         table = Tensor(np.random.default_rng(0).normal(size=(4, 3)),
                        requires_grad=True)
-        backward(embedding_lookup(table, np.array([0, 1, 1])).sum())
+        backward(total(embedding_lookup(table, np.array([[0, 1, 1]]))))
         assert np.array_equal(table.grad[0], np.zeros(3))
         assert np.array_equal(table.grad[1], 2 * np.ones(3))
 
@@ -266,7 +287,7 @@ class TestDeterminism:
             rng = np.random.default_rng(9)
             x = Tensor(np.random.default_rng(1).normal(size=(5, 8)),
                        requires_grad=True)
-            out = dropout(relu(x), 0.3, rng=rng).sum()
+            out = total(dropout(relu(x), 0.3, rng=rng))
             backward(out)
             return out.data.copy(), x.grad.copy()
 
@@ -280,7 +301,7 @@ def test_concat_backward_splits():
     b = Tensor(np.ones((2, 3)), requires_grad=True)
     out = concat([a, b], axis=1)
     assert out.shape == (2, 5)
-    backward((out * 2.0).sum())
+    backward(total(mul(out, 2.0)))
     assert np.array_equal(a.grad, 2 * np.ones((2, 2)))
     assert np.array_equal(b.grad, 2 * np.ones((2, 3)))
 
@@ -307,7 +328,7 @@ def output_and_grads(op, table, ids, filters, biases, g):
     for t in leaves:
         t.grad = None
     out = op(table, ids, filters, biases)
-    backward((out * Tensor(g)).sum())
+    backward(total(mul(out, g)))
     return [out.data] + [t.grad.copy() for t in leaves]
 
 
@@ -353,7 +374,7 @@ class TestTextCnn:
         table, filters, biases = text_cnn_params(rng, w_max=4)
         ids = rng.integers(1, 12, size=(3, 6))
         g = rng.normal(size=(3, 8))
-        backward((text_cnn(table, ids, filters, biases) * Tensor(g)).sum())
+        backward(total(mul(text_cnn(table, ids, filters, biases), g)))
 
         def f():
             return (text_cnn(table, ids, filters, biases).data * g).sum()
@@ -465,7 +486,7 @@ class TestTextCnn:
 
 
 def unfused_linear(x, w, b):
-    return matmul(x, w.T) + b
+    return add(matmul(x, transpose(w)), b)
 
 
 def unfused_detect(features, theta_y):
@@ -475,21 +496,21 @@ def unfused_detect(features, theta_y):
 def unfused_discriminator_head(features, theta):
     h = relu(unfused_linear(features, theta.w1, theta.b1))
     p = sigmoid(unfused_linear(h, theta.w2, theta.b2))
-    return p.reshape((p.shape[0],))
+    return reshape(p, (p.shape[0],))
 
 
 def unfused_loss_detection_weighted(probs, labels, weights):
     n = probs.shape[0]
     onehot = np.zeros((n, 2))
     onehot[np.arange(n), labels] = 1.0
-    picked = (probs * Tensor(onehot)).sum(axis=1)
-    return -(picked.log() * Tensor(weights)).mean()
+    picked = total(mul(probs, onehot), axis=1)
+    return neg(mean(mul(log(picked), weights)))
 
 
 def unfused_loss_event_weighted(src_probs, tgt_probs, weights):
-    src_term = (src_probs.log() * Tensor(weights)).mean()
-    tgt_term = (1.0 - tgt_probs).log().mean()
-    return -(src_term + tgt_term)
+    src_term = mean(mul(log(src_probs), weights))
+    tgt_term = mean(log(one_minus(tgt_probs)))
+    return neg(add(src_term, tgt_term))
 
 
 FUSED = {"linear": linear, "detect": detect, "head": model._discriminator_head,
@@ -512,7 +533,7 @@ def op_output_and_grads(op, args, g):
     for t in leaves:
         t.grad = None
     out = op(*args)
-    backward((out * Tensor(g)).sum())
+    backward(total(mul(out, g)))
     return [out.data] + [t.grad.copy() for t in leaves]
 
 
@@ -641,14 +662,14 @@ class TestBackwardKeepsClosureArrays:
         # contribution, which must not be added into `shared`
         x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
         y = Tensor(np.array([0.5, 0.5, 0.5]), requires_grad=True)
-        p = x * 1.0
+        p = mul(x, 1.0)
 
         def bwd(g):
             shared = g * 2.0
             return shared, shared
 
         node = _op(p.data + y.data, (p, y), bwd)
-        seed = (node * Tensor(np.array([1.0, 2.0, 3.0]))).sum() + p.sum()
+        seed = add(total(mul(node, np.array([1.0, 2.0, 3.0]))), total(p))
         returned = record_returns(seed)
         backward(seed)
         assert y.grad.tolist() == [2.0, 4.0, 6.0]
@@ -657,8 +678,8 @@ class TestBackwardKeepsClosureArrays:
 
     def test_three_contributions(self):
         x = Tensor(np.array([[1.0, -1.0], [2.0, 0.5]]), requires_grad=True)
-        h = x * 1.0
-        seed = (h * 2.0).sum() + (h * 3.0).sum() + relu(h).sum()
+        h = mul(x, 1.0)
+        seed = add(add(total(mul(h, 2.0)), total(mul(h, 3.0))), total(relu(h)))
         returned = record_returns(seed)
         backward(seed)
         assert x.grad.tolist() == [[6.0, 5.0], [6.0, 6.0]]
@@ -670,7 +691,7 @@ def test_split_rows_gradients():
     head, tail = split_rows(x, 2)
     assert np.array_equal(head.data, x.data[:2])
     assert np.array_equal(tail.data, x.data[2:])
-    backward((head * 2.0).sum() + (tail * 3.0).sum())
+    backward(add(total(mul(head, 2.0)), total(mul(tail, 3.0))))
     assert x.grad.tolist() == [[2.0, 2.0]] * 2 + [[3.0, 3.0]] * 3
     with pytest.raises(DimensionError):
         split_rows(x, 6)
@@ -678,8 +699,8 @@ def test_split_rows_gradients():
 
 def test_only_leaves_hold_grad_buffers():
     x = Tensor(np.ones((2, 3)), requires_grad=True)
-    hidden = relu(x * 2.0)
-    out = hidden.sum()
+    hidden = relu(mul(x, 2.0))
+    out = total(hidden)
     assert hidden.grad is None and out.grad is None
     # no tensor is made holding a gradient, a trained leaf included
     assert Tensor(np.ones(3)).grad is None and x.detach().grad is None
@@ -699,14 +720,14 @@ class TestPrunedBackward:
         ids = np.array([[1, 2, 3, 4], [5, 0, 0, 0]])
         assert relu(x).requires_grad and not relu(c).requires_grad
         assert matmul(x, c).requires_grad and matmul(c, x).requires_grad
-        assert not matmul(c, c.T).requires_grad
+        assert not matmul(c, transpose(c)).requires_grad
         assert text_cnn(table, ids, filters, biases).requires_grad
         frozen_cnn = text_cnn(table, ids, fixed[:3], fixed[3:])
         assert not frozen_cnn.requires_grad
         assert not x.detach().requires_grad
 
         # a seed that no trainable input reaches hands no leaf a gradient
-        seed = relu(c).sum() + (x.detach() * 2.0).sum() + frozen_cnn.sum()
+        seed = add(add(total(relu(c)), total(mul(x.detach(), 2.0))), total(frozen_cnn))
         assert not seed.requires_grad
         backward(seed)
         for leaf in (x, *filters, *biases, c, table, *fixed):

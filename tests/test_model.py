@@ -13,7 +13,6 @@ from metadetector.model import (
     detect,
     discriminate_event,
     extract_features,
-    init_discriminator,
     load_checkpoint,
     pseudo_discriminate,
     save_checkpoint,
@@ -24,7 +23,7 @@ from metadetector.model import (
 )
 from metadetector.text import MAX_K
 from metadetector.training import sgd_step, total_loss
-from helpers import build_tiny_model, forward_losses, random_batch
+from helpers import build_tiny_model, forward_losses, init_discriminator, random_batch, total
 
 
 class TestExtractFeatures:
@@ -99,7 +98,7 @@ class TestDiscriminators:
         disc = init_discriminator(np.random.default_rng(5))
         feats = Tensor(np.random.default_rng(6).normal(size=(4, 32)),
                        requires_grad=True)
-        backward(discriminate_event(feats, disc, 0.0).sum())
+        backward(total(discriminate_event(feats, disc, 0.0)))
         assert np.array_equal(feats.grad, np.zeros((4, 32)))
 
     def test_grl_flips_and_scales_feature_gradient(self):
@@ -109,9 +108,9 @@ class TestDiscriminators:
         lam = 0.7
 
         with_grl = Tensor(base.data.copy(), requires_grad=True)
-        backward(discriminate_event(with_grl, disc, lam).sum())
+        backward(total(discriminate_event(with_grl, disc, lam)))
         plain = Tensor(base.data.copy(), requires_grad=True)
-        backward(_discriminator_head(plain, disc).sum())
+        backward(total(_discriminator_head(plain, disc)))
 
         assert np.allclose(with_grl.grad, -lam * plain.grad, atol=1e-10)
 

@@ -28,6 +28,7 @@ from metadetector.text import (
     token_ids,
     tokenize,
 )
+from helpers import total
 
 
 def corpus_of(texts, event="ev1", role="source", label=1):
@@ -219,17 +220,17 @@ class TestChooseK:
 class TestEmbed:
     def test_all_pad_zero_matrix(self):
         table = random_table(6, 4, np.random.default_rng(0))
-        out = embed(np.zeros(3, dtype=np.int64), table)
-        assert np.array_equal(out.data, np.zeros((4, 3)))
+        out = embed(np.zeros((1, 3), dtype=np.int64), table)
+        assert np.array_equal(out.data, np.zeros((1, 4, 3)))
 
     def test_repeated_id_identical_columns(self):
         table = random_table(6, 4, np.random.default_rng(0))
-        out = embed(np.array([2, 2, 2]), table)
-        assert np.array_equal(out.data[:, 0], out.data[:, 1])
+        out = embed(np.array([[2, 2, 2]]), table)
+        assert np.array_equal(out.data[0, :, 0], out.data[0, :, 1])
 
     def test_gradient_reaches_only_used_rows(self):
         table = random_table(6, 4, np.random.default_rng(0))
-        backward(embed(np.array([2, 3]), table).sum())
+        backward(total(embed(np.array([[2, 3]]), table)))
         g = table.grad
         assert np.array_equal(g[2], np.ones(4))
         assert np.array_equal(g[3], np.ones(4))
@@ -341,7 +342,7 @@ class TestPadFrozen:
     def test_pad_row_zero_after_updates(self):
         table = random_table(6, 4, np.random.default_rng(0))
         for _ in range(3):
-            backward(embed(np.array([0, 2, 3]), table).sum())
+            backward(total(embed(np.array([[0, 2, 3]]), table)))
             table.data -= 0.1 * table.grad
             table.grad = None
         assert np.array_equal(table.data[PAD_ID], np.zeros(4))

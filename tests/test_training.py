@@ -22,7 +22,7 @@ from metadetector.training import (
     total_loss,
     train,
 )
-from helpers import nan_gradient_at
+from helpers import add, mul, nan_gradient_at, total
 
 LN2 = math.log(2.0)
 
@@ -138,11 +138,11 @@ class TestTotalLoss:
             leaves = [Tensor(rng.uniform(0.1, 3.0, size=50), requires_grad=True)
                       for _ in range(3)]
             out = combine(*leaves)
-            backward((out * 0.37).sum())
+            backward(total(mul(out, 0.37)))
             return out, [t.grad for t in leaves]
 
         out, grads = run(lambda a, b, c: total_loss(a, b, c, mu))
-        ref, ref_grads = run(lambda a, b, c: a + mu * b + c)
+        ref, ref_grads = run(lambda a, b, c: add(add(a, mul(b, mu)), c))
         assert len(out._parents) == 3
         assert np.array_equal(out.data, ref.data)
         assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
@@ -150,7 +150,7 @@ class TestTotalLoss:
     def test_mu_zero_silences_pseudo_gradient(self):
         l_pe = Tensor([1.0], requires_grad=True)
         t = total_loss(Tensor([1.0]), l_pe, Tensor([1.0]), mu=0.0)
-        backward(t.sum())
+        backward(total(t))
         assert l_pe.grad[0] == 0.0
 
 
