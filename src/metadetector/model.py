@@ -24,11 +24,14 @@ from .autodiff import (
     relu,
     text_cnn,
 )
-from .errors import CheckpointError
-from .text import MAX_K, PAD_TOKEN, UNK_TOKEN, Vocabulary
+from .errors import CheckpointError, ConfigurationError
+from .text import MAX_DIM, MAX_K, PAD_TOKEN, UNK_TOKEN, Vocabulary
 
 FEATURE_DIM = 32
 DISC_HIDDEN = 32
+# the most float64s (2 GiB) that a model's parameters, or the text_cnn
+# temporaries of one batch, may hold
+MAX_FLOATS = 2 ** 28
 
 
 def _init_array(rng: np.random.Generator, shape: tuple[int, ...]) -> Tensor:
@@ -249,6 +252,24 @@ def _array_shapes(n_vocab: int, d: int, w_max: int, n_filters: int):
             yield f"{head}_{part}", shape
 
 
+def check_size(n_vocab: int, d: int, w_max: int, n_filters: int, k: int,
+               rows: int) -> None:
+    """Refuse a model whose parameters, or whose ``text_cnn`` temporaries on
+    a batch of ``rows`` id rows of length ``k`` (``cols``, ``bank`` and
+    ``conv``, held at once), would hold more than MAX_FLOATS."""
+    n_out = w_max * n_filters
+    sizes = {"parameters": sum(math.prod(shape) for _, shape in
+                               _array_shapes(n_vocab, d, w_max, n_filters)),
+             "text_cnn temporaries": (rows * k * w_max * d + n_out * w_max * d
+                                      + n_out * rows * k)}
+    for what, n in sizes.items():
+        if n > MAX_FLOATS:
+            raise ConfigurationError(
+                f"the model's {what} would hold {n:,} floats, above the limit of "
+                f"{MAX_FLOATS:,} (|V| = {n_vocab}, d = {d}, w_max = {w_max}, "
+                f"n_filters = {n_filters}, k = {k}, {rows} rows)")
+
+
 # metadata field -> its JSON type; exact, since bool is an int subclass
 _META_TYPES = {"seed": int, "k": int, "w_max": int, "n_filters": int,
                "embedding_trainable": bool, "vocab_tokens": list,
@@ -293,6 +314,23 @@ def load_checkpoint(path: str) -> ModelParams:
         raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from None
 
 
+def _header(npz, name: str) -> tuple[tuple[int, ...], np.dtype]:
+    """The shape and dtype that member ``name``'s .npy header declares,
+    read without its data."""
+    with npz.zip.open(f"{name}.npy") as fh:
+        read = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}.get(
+                    np.lib.format.read_magic(fh))
+        if read is None:
+            raise CheckpointError(f"array {name!r} has an unsupported .npy version")
+        shape, _, dtype = read(fh)
+    size = math.prod(shape) * dtype.itemsize
+    if size > npz.zip.getinfo(f"{name}.npy").file_size:
+        raise CheckpointError(f"array {name!r} declares {size:,} bytes, "
+                              "more than its entry holds")
+    return shape, dtype
+
+
 def _read_checkpoint(path: str) -> ModelParams:
     with open(path, "rb") as fh:  # closed however the read ends
         # np.load's test for a zip; it would read any other file as .npy or pickle
@@ -300,6 +338,11 @@ def _read_checkpoint(path: str) -> ModelParams:
             raise CheckpointError("not an npz checkpoint")
         fh.seek(0)
         npz = np.load(fh, allow_pickle=False)
+        # every header is checked before its data is read, so no size the
+        # file declares is allocated unless the metadata agrees with it
+        shape, dtype = _header(npz, "__meta__")
+        if shape != () or dtype.kind != "U":
+            raise CheckpointError(f"metadata is {dtype} of shape {shape}, expected a string")
         meta = json.loads(str(npz["__meta__"]))
         _check_meta(meta)
         vocab = Vocabulary(
@@ -310,19 +353,21 @@ def _read_checkpoint(path: str) -> ModelParams:
             raise CheckpointError("vocabulary has repeated tokens")
         if vocab_hash(vocab) != meta["vocab_hash"]:
             raise CheckpointError("vocabulary hash mismatch; checkpoint is corrupt")
-        emb = npz["embedding"]
-        if emb.ndim != 2 or emb.shape[1] < 1:
-            raise CheckpointError(f"embedding has shape {emb.shape}, expected (|V|, d >= 1)")
-        # every array is checked before the model is built, so no size
-        # read from the metadata is allocated unless the arrays agree
-        tensors = {}
-        for name, shape in _array_shapes(len(vocab), emb.shape[1],
-                                         meta["w_max"], meta["n_filters"]):
-            a = emb if name == "embedding" else npz[name]
-            if a.dtype.kind != "f" or a.shape != shape:
+        emb_shape, _ = _header(npz, "embedding")
+        if len(emb_shape) != 2 or not 1 <= emb_shape[1] <= MAX_DIM:
+            raise CheckpointError(f"embedding has shape {emb_shape}, "
+                                  f"expected (|V|, d) with 1 <= d <= {MAX_DIM}")
+        shapes = dict(_array_shapes(len(vocab), emb_shape[1],
+                                    meta["w_max"], meta["n_filters"]))
+        for name, shape in shapes.items():
+            got, dtype = _header(npz, name)
+            if dtype.kind != "f" or got != shape:
                 raise CheckpointError(
-                    f"array {name!r} is {a.dtype} of shape {a.shape}, "
+                    f"array {name!r} is {dtype} of shape {got}, "
                     f"expected float of shape {shape}")
+        tensors = {}
+        for name in shapes:
+            a = npz[name]
             if not np.isfinite(a).all():
                 raise CheckpointError(f"array {name!r} holds non-finite values")
             tensors[name] = Tensor(a, requires_grad=(name != "embedding"

@@ -19,10 +19,11 @@ import numpy as np
 
 from .autodiff import Tensor, _clamped_log, _op, backward, split_rows
 from .errors import ConfigurationError, ContractError, NumericalError
-from .evaluation import predict
+from .evaluation import FORWARD_BLOCK, predict
 from .mmd import ShiftReport, shift_gate
 from .model import (
     ModelParams,
+    check_size,
     detect,
     discriminate_event,
     extract_features,
@@ -265,8 +266,11 @@ def prepare(source: EventCorpus, target: EventCorpus, config: TrainConfig
             ) -> tuple[Vocabulary, int, Tensor, ShiftReport]:
     """The vocabulary, sequence length, embedding table and shift gate of a run.
 
-    A window size ``w_max`` above the sequence length is refused before the
-    table is made or the gate runs.
+    A window size ``w_max`` above the sequence length, or a model that
+    :func:`model.check_size` refuses on a batch as large as a training step
+    or a scoring block, is refused before the gate runs; a random table is
+    not drawn either, while a pretrained one is read first, since its file
+    gives its width.
 
     The table is random or pretrained, frozen or not, and drawn from the
     run seed's embedding-table generator, so ``config.seed`` fixes it.
@@ -276,10 +280,17 @@ def prepare(source: EventCorpus, target: EventCorpus, config: TrainConfig
     if config.w_max > k:
         raise ConfigurationError(
             f"w_max = {config.w_max} exceeds the sequence length k = {k}")
+
+    def check(d: int) -> None:
+        check_size(len(vocab), d, config.w_max, config.n_filters, k,
+                   rows=max(config.batch_size, FORWARD_BLOCK))
+
     emb_rng = _seed_streams(config.seed)[2]
     if config.pretrained_vectors:
         table = load_pretrained_vectors(config.pretrained_vectors, vocab, emb_rng)
+        check(table.shape[1])
     else:
+        check(config.embedding_dim)
         table = random_table(len(vocab), config.embedding_dim, emb_rng)
     if config.freeze_embeddings:
         table.requires_grad = False

@@ -5,6 +5,8 @@ import json
 import shlex
 import shutil
 import threading
+import tracemalloc
+import zipfile
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -286,6 +288,23 @@ def test_failed_run_removes_only_the_outputs_it_created(failing, capsys, corpora
     assert history.read_text() == "earlier run\n"
 
 
+def test_model_too_large_exits_2_before_allocating(capsys, corpora, tmp_path):
+    src, tgt = corpora
+    config = tmp_path / "cfg.json"  # each size cap at its limit: 1.1 TB of filter banks
+    config.write_text('{"embedding_dim": 4096, "n_filters": 1024, "w_max": 256, "k": 256}')
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, "train", "--source", src, "--target", tgt,
+                               "--config", str(config), "--out", str(tmp_path / "m"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+    assert "model's parameters would hold" in err
+    assert peak < 32 * 2**20
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.parametrize("failure", ["evaluation", "gradient"])
 def test_a_run_failing_during_training_leaves_no_thread_or_output(failure, capsys, corpora,
                                                                   tmp_path, monkeypatch):
@@ -435,6 +454,17 @@ def _move_pad(arrays, meta):
                                                meta["vocab_min_count"]))
 
 
+def _huge_header(name, descr, shape):
+    """A change that writes member ``name`` as raw bytes: a .npy header that
+    declares ``descr`` and ``shape``, then the saved data."""
+    def tamper(arrays, meta):
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": descr, "fortran_order": False, "shape": shape})
+        arrays[name] = header.getvalue() + arrays[name].tobytes()
+    return tamper
+
+
 # a saved checkpoint's arrays and metadata, and one change that spoils them
 CHECKPOINT_TAMPERS = {
     "checkpoint-no-meta": lambda arrays, meta: arrays.pop("__meta__"),
@@ -447,6 +477,8 @@ CHECKPOINT_TAMPERS = {
     "checkpoint-vocab-int": lambda arrays, meta: meta.update(vocab_tokens=5),
     "checkpoint-k-huge": lambda arrays, meta: meta.update(k=10**13),
     "checkpoint-pad-moved": _move_pad,
+    "checkpoint-embedding-header-huge": _huge_header("embedding", "<f8", (10**12, 32)),
+    "checkpoint-meta-header-huge": _huge_header("__meta__", "<U100000000", ()),
 }
 
 # a bad command-line argument, and the name its error must give
@@ -527,9 +559,14 @@ def _write_bad_input(case, d, checkpoint):
             arrays = {k: npz[k] for k in npz.files}
         meta = json.loads(str(arrays["__meta__"]))
         CHECKPOINT_TAMPERS[case](arrays, meta)
-        if "__meta__" in arrays:
+        if isinstance(arrays.get("__meta__"), np.ndarray):
             arrays["__meta__"] = np.array(json.dumps(meta))
+        raw = {name: arrays.pop(name) for name, a in list(arrays.items())
+               if isinstance(a, bytes)}
         np.savez(path, **arrays)
+        with zipfile.ZipFile(path, "a") as zf:
+            for name, data in raw.items():
+                zf.writestr(f"{name}.npy", data)
     return path, "checkpoint"
 
 
@@ -574,9 +611,15 @@ def test_bad_input_exits_2_without_traceback(case, capsys, corpora, checkpoint,
                                   "--out-target", str(tmp_path / "t.jsonl"),
                                   "--anomaly-fraction", "nan"],
             }[kind]
-    code, _, err = run_cli(capsys, *argv)
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+    assert peak < 32 * 2**20  # no size the input declares is allocated
     assert str(bad) in err
     if case.startswith("corpus-") and case != "corpus-missing":
         assert f"{bad}, line 2:" in err

@@ -1,6 +1,7 @@
 import json
 import math
 import threading
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -18,6 +19,7 @@ from metadetector.training import (
     loss_event_weighted,
     loss_pseudo,
     make_batches,
+    prepare,
     sgd_step,
     total_loss,
     train,
@@ -71,6 +73,25 @@ class TestTrainConfig:
         monkeypatch.setattr(training, "shift_gate", no_gate)
         with pytest.raises(ConfigurationError, match=f"k = {k}"):
             training.prepare(source, target, TrainConfig(w_max=k + 1))
+
+    @pytest.mark.parametrize("sizes, what", [
+        # each cap at its limit: about 1.1 TB of filter banks
+        ({"embedding_dim": 4096, "n_filters": 1024, "w_max": 256, "k": 256}, "parameters"),
+        # 9 M parameters, but 34 G floats of im2col columns for a 500-row batch
+        ({"embedding_dim": 4096, "n_filters": 1, "w_max": 64, "k": 256},
+         "text_cnn temporaries"),
+    ])
+    def test_model_too_large_refused_before_anything_is_allocated(self, sizes, what):
+        source, target = generate(SynthSpec(n_source=20, n_target=20,
+                                            post_length=6, seed=0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match=f"model's {what} would hold"):
+                prepare(source, target, TrainConfig(**sizes))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestDetectionLoss:
@@ -321,8 +342,6 @@ class TestTrain:
             self, tmp_path, monkeypatch):
         """Up to the shift gate, ``prepare`` with a frozen 16k x 32 pretrained
         table frees less than half a |V| x d array: it made no second one."""
-        import tracemalloc
-
         from metadetector import training
         from metadetector.text import EventCorpus, Post
 
