@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
-from .model import ModelParams, detect, extract_features, pseudo_discriminate
+from .model import ModelParams, check_size, detect, extract_features, pseudo_discriminate
 from .text import EventCorpus, encode
 
 CLASS_NAMES = {0: "fake", 1: "real"}
@@ -127,10 +127,16 @@ def _on_two_threads(params: ModelParams, ids: np.ndarray, head) -> np.ndarray:
         return np.concatenate(list(_map_chunks(params, ids, head, pool.map)))
 
 
+def _checked_ids(params: ModelParams, corpus: EventCorpus) -> np.ndarray:
+    """``encode``, once ``check_size`` passes the model on a FORWARD_BLOCK batch."""
+    check_size(*params.tensors["embedding"].shape, len(params.theta_f.filters),
+               params.theta_f.filters[0].shape[0], params.k, rows=FORWARD_BLOCK)
+    return encode(corpus, params.vocab, params.k)
+
+
 def _forward_chunks(params: ModelParams, corpus: EventCorpus):
     """Extractor features of each chunk of an encoded corpus, in order."""
-    return _map_chunks(params, encode(corpus, params.vocab, params.k),
-                       lambda feats, _: feats)
+    return _map_chunks(params, _checked_ids(params, corpus), lambda feats, _: feats)
 
 
 def predict(params: ModelParams, ids: np.ndarray) -> np.ndarray:
@@ -145,7 +151,7 @@ def evaluate(params: ModelParams, test: EventCorpus) -> MetricsReport:
     for post in test.posts:
         if post.label is None:
             raise ContractError(f"test post {post.id!r} is unlabeled")
-    preds = _on_two_threads(params, encode(test, params.vocab, params.k), _classes)
+    preds = _on_two_threads(params, _checked_ids(params, test), _classes)
     labels = np.array([p.label for p in test.posts], dtype=np.int64)
     return metrics_from_predictions(preds, labels)
 
@@ -184,8 +190,7 @@ def export_weights(params: ModelParams, source: EventCorpus,
     """
     if top_n < 0:
         raise ConfigurationError(f"top_n must be >= 0, got {top_n}")
-    w_hat = _on_two_threads(params, encode(source, params.vocab, params.k),
-                            _pseudo_probs)
+    w_hat = _on_two_threads(params, _checked_ids(params, source), _pseudo_probs)
     entries = [WeightEntry(post_id=p.id, excerpt=p.text[:60],
                            weight=float(1.0 - w), pseudo_prob=float(w))
                for p, w in zip(source.posts, w_hat)]

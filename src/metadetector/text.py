@@ -10,10 +10,10 @@ import json
 import math
 import re
 import unicodedata
-from collections import Counter
+from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, count, repeat
 from typing import Iterable, Optional
 
 import numpy as np
@@ -31,14 +31,17 @@ MAX_K = 256
 MAX_DIM = 4096
 # the most filters per window size a config may set, checked before the model is made
 MAX_FILTERS = 1024
+# EventCorpus.tokens reads TOKENIZE_BLOCK posts at a time, by word if Chao1's estimate of the
+# block's vocabulary from REPEAT_SAMPLE posts is at most VOCAB_PER_POST a post, else by text
+TOKENIZE_BLOCK, REPEAT_SAMPLE, VOCAB_PER_POST = 2048, 128, 2
+Tokens = namedtuple("Tokens", "words index offsets")
 
-# CJK ideographs (unified, extension A, compatibility): a word splits into
-# single CJK characters and runs of anything else
+# CJK ideographs (unified, extension A, compatibility): a word splits into single
+# CJK characters and runs of anything else but a space, so joined words split alone
 _CJK = "\u4e00-\u9fff\u3400-\u4dbf\uf900-\ufaff"
-_CJK_CHAR_OR_RUN = re.compile(f"[{_CJK}]|[^{_CJK}]+")
+_CJK_CHAR_OR_RUN = re.compile(f"[{_CJK}]|[^{_CJK} ]+")
 
-# The ASCII characters of Unicode category P*: 23 of them. Not
-# ``string.punctuation``, whose ``$+<=>^`|~`` are symbols (S*) and are kept.
+# the 23 ASCII characters of category P*; string.punctuation's $+<=>^`|~ are S*, kept
 _ASCII_PUNCT = "".join(ch for ch in map(chr, range(128))
                        if unicodedata.category(ch).startswith("P"))
 
@@ -69,12 +72,28 @@ class EventCorpus:
         return len(self.posts)
 
     @cached_property
-    def tokens(self) -> list[list[str]]:
-        """``tokenize(post.text)`` of each post, computed on first use.
-
-        The result is kept, so ``posts`` must not change after that.
-        """
-        return [tokenize(p.text) for p in self.posts]
+    def tokens(self) -> Tokens:
+        """Post i's tokens are ``words[j]`` for j in ``index[offsets[i]:offsets[i + 1]]``,
+        kept from first use, so ``posts`` must not change."""
+        words, index, offsets = [], [], [np.zeros(1, np.int64)]
+        for b in range(0, len(self.posts), TOKENIZE_BLOCK):
+            texts = [p.text for p in self.posts[b:b + TOKENIZE_BLOCK]]
+            f = Counter(Counter(" ".join(texts[:REPEAT_SAMPLE]).lower().split()).values())
+            if sum(f.values()) + f[1] * (f[1] - 1) / (2 * f[2] + 2) <= VOCAB_PER_POST * len(texts):
+                units = list(map(str.split, map(str.lower, texts)))  # each post's words
+                memo = defaultdict(count().__next__)  # word -> its place among the distinct
+                rix = np.fromiter(map(memo.__getitem__, chain.from_iterable(units)), np.int64)
+                sizes = list(map(len, units))  # units per post
+            else:  # each text is one unit
+                memo, rix, sizes = texts, np.arange(len(texts)), [1] * len(texts)
+            per = list(map(tokenize, memo))  # through the module, so a wrapper sees each call
+            n_tok = np.fromiter(map(len, per), np.int64, len(per))
+            counts, ends = n_tok[rix], np.cumsum(n_tok[rix])  # by unit occurrence, in the block
+            shift = np.cumsum(n_tok)[rix] - ends + len(words)  # its tokens' index minus place
+            index.append(np.repeat(shift, counts) + np.arange(counts.sum()))
+            words += chain.from_iterable(per)
+            offsets.append(offsets[-1][-1] + np.append(0, ends)[np.cumsum(sizes)])
+        return Tokens(words, np.concatenate(index), np.concatenate(offsets))
 
 
 def tokenize(text: str) -> list[str]:
@@ -85,16 +104,16 @@ def tokenize(text: str) -> list[str]:
     """
     words = text.lower().split()
     if text.isascii():  # fast path: no CJK, and P* is _ASCII_PUNCT
-        return [w for w in (raw.strip(_ASCII_PUNCT) for raw in words) if w]
-    tokens: list[str] = []
+        return list(filter(None, map(str.strip, words, repeat(_ASCII_PUNCT))))
+    stripped = []
     for raw in words:
         start, end = 0, len(raw)
         while start < end and unicodedata.category(raw[start]).startswith("P"):
             start += 1
         while end > start and unicodedata.category(raw[end - 1]).startswith("P"):
             end -= 1
-        tokens += _CJK_CHAR_OR_RUN.findall(raw[start:end])
-    return tokens
+        stripped.append(raw[start:end])
+    return _CJK_CHAR_OR_RUN.findall(" ".join(stripped))
 
 
 @dataclass
@@ -122,14 +141,11 @@ def build_vocab(corpora: Iterable[EventCorpus], min_count: int = 1) -> Vocabular
     """
     if min_count < 1:
         raise ConfigurationError(f"min_count must be >= 1, got {min_count}")
-    counts: Counter[str] = Counter()
-    seen = False
-    for corpus in corpora:
-        seen = True
-        for tokens in corpus.tokens:
-            counts.update(tokens)
-    if not seen:
+    records = [corpus.tokens for corpus in corpora]
+    if not records:
         raise ContractError("build_vocab requires at least one corpus")
+    counts = Counter(chain.from_iterable(chain.from_iterable(  # each entry of words, its count
+        map(repeat, words, np.bincount(index).tolist())) for words, index, _ in records))
     kept = sorted((tok for tok, c in counts.items()
                    if c >= min_count and tok not in (PAD_TOKEN, UNK_TOKEN)),
                   key=lambda t: (-counts[t], t))
@@ -143,14 +159,13 @@ def token_ids(corpus: EventCorpus, vocab: Vocabulary,
               k: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
     """Ids of each post's first ``k`` tokens (all if ``k`` is None), post after
     post, and each post's count: the one token-to-id map, UNK if unknown."""
-    tokens = corpus.tokens
-    lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
-    if k is not None:  # islice, not a slice: no copy of each post's list
-        tokens = map(islice, tokens, repeat(k))
-        np.minimum(lengths, k, out=lengths)
-    ids = np.fromiter(map(vocab.token_to_id.get, chain.from_iterable(tokens), repeat(UNK_ID)),
-                      dtype=np.int64, count=int(lengths.sum()))
-    return ids, lengths
+    words, index, offsets = corpus.tokens
+    lengths = np.diff(offsets)
+    if k is not None and lengths.max() > k:  # keep a token iff its place in its post is < k
+        index = index[np.arange(len(index)) - np.repeat(offsets[:-1], lengths) < k]
+        lengths = np.minimum(lengths, k)
+    by_word = np.fromiter(map(vocab.token_to_id.get, words, repeat(UNK_ID)), np.int64, len(words))
+    return by_word[index], lengths
 
 
 def encode(corpus: EventCorpus, vocab: Vocabulary, k: int) -> np.ndarray:
@@ -165,11 +180,11 @@ def encode(corpus: EventCorpus, vocab: Vocabulary, k: int) -> np.ndarray:
 
 def choose_k(corpora: Iterable[EventCorpus]) -> int:
     """Smallest length covering 95% of post lengths, in [4, MAX_K]."""
-    lengths = sorted(len(tokens) for corpus in corpora for tokens in corpus.tokens)
-    if not lengths:
+    lengths = np.sort(np.concatenate([np.diff(c.tokens.offsets) for c in corpora] or [[]]))
+    if not len(lengths):
         raise ContractError("choose_k requires non-empty corpora")
     idx = max(0, math.ceil(0.95 * len(lengths)) - 1)
-    return min(MAX_K, max(4, lengths[idx]))
+    return min(MAX_K, max(4, int(lengths[idx])))
 
 
 def random_table(vocab_size: int, dim: int, rng: np.random.Generator) -> Tensor:

@@ -105,6 +105,12 @@ def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float((diff / scale).max())
 
 
+def post_tokens(corpus) -> list[list[str]]:
+    """Each post's tokens as a list, read from the corpus's flat record."""
+    words, index, offsets = corpus.tokens
+    return [[words[j] for j in index[a:b]] for a, b in zip(offsets[:-1], offsets[1:])]
+
+
 def tiny_vocab(size: int) -> Vocabulary:
     mapping = {"<pad>": 0, "<unk>": 1}
     for i in range(size - 2):

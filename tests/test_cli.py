@@ -305,6 +305,37 @@ def test_model_too_large_exits_2_before_allocating(capsys, corpora, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("command", ["eval", "weights"])
+def test_checkpoint_too_large_to_score_exits_2_before_encoding(command, capsys, corpora,
+                                                               tmp_path):
+    """A valid checkpoint of about 5 MB (d = 4096, w_max = 16, k = 256, one
+    filter per window, a 3-token vocabulary) whose im2col columns on one
+    FORWARD_BLOCK batch would take about 34 GB is refused before any post
+    is encoded."""
+    from metadetector.model import init_model, save_checkpoint
+    from metadetector.text import random_table
+
+    vocab = Vocabulary({"<pad>": 0, "<unk>": 1, "w": 2}, min_count=1)
+    table = random_table(3, 4096, np.random.default_rng(0))
+    ckpt = str(tmp_path / "big.npz")
+    save_checkpoint(init_model(vocab, table, k=256, seed=0, n_filters=1, w_max=16), ckpt)
+    assert Path(ckpt).stat().st_size < 6 * 2**20
+    src, tgt = corpora
+    out = ["--out", str(tmp_path / "r.json")] if command == "eval" else []
+    tracemalloc.start()
+    try:
+        code, stdout, err = run_cli(capsys, command, "--checkpoint", ckpt, "--corpus",
+                                    tgt if command == "eval" else src, *out,
+                                    "--csv", str(tmp_path / "r.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+    assert "model's text_cnn temporaries would hold" in err and stdout == ""
+    assert peak < 32 * 2**20
+    assert [p.name for p in tmp_path.iterdir()] == ["big.npz"]
+
+
 @pytest.mark.parametrize("failure", ["evaluation", "gradient"])
 def test_a_run_failing_during_training_leaves_no_thread_or_output(failure, capsys, corpora,
                                                                   tmp_path, monkeypatch):

@@ -21,6 +21,7 @@ from metadetector.mmd import (
 )
 from metadetector.text import (PAD_ID, UNK_ID, EventCorpus, Post, Vocabulary, build_vocab,
                                random_table)
+from helpers import post_tokens
 
 
 def corpus_of(texts):
@@ -159,7 +160,7 @@ class TestPostRepresentation:
                   for n in rng.integers(0, 60, size=40)]
         data = self.table.data
         expected = []
-        for tokens in corpus_of(texts).tokens:
+        for tokens in post_tokens(corpus_of(texts)):
             ids = np.array([self.vocab.token_to_id.get(t, UNK_ID) for t in tokens], dtype=np.int64)
             ids = ids[ids != PAD_ID]
             expected.append(data[ids].mean(axis=0) if len(ids) else np.zeros(4))

@@ -2,19 +2,27 @@ import json
 import math
 import re
 import string
+import tracemalloc
 import unicodedata
+from collections import Counter
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from metadetector import text
 from metadetector.autodiff import backward
 from metadetector.errors import ContractError, ParseError
+from metadetector.mmd import corpus_representations
 from metadetector.text import (
     MAX_DIM,
+    MAX_K,
+    PAD_TOKEN,
     PAD_ID,
     UNK_ID,
+    UNK_TOKEN,
     EventCorpus,
     Post,
     build_vocab,
@@ -28,7 +36,7 @@ from metadetector.text import (
     token_ids,
     tokenize,
 )
-from helpers import total
+from helpers import post_tokens, total
 
 
 def corpus_of(texts, event="ev1", role="source", label=1):
@@ -154,7 +162,7 @@ def per_row_encode(corpus, vocab, k):
     """The per-row encoder, kept as the reference for ``encode``."""
     ids = np.full((len(corpus), k), PAD_ID, dtype=np.int64)
     lookup = vocab.token_to_id.get
-    for row, tokens in zip(ids, corpus.tokens):
+    for row, tokens in zip(ids, post_tokens(corpus)):
         head = tokens[:k]
         row[:len(head)] = [lookup(t, UNK_ID) for t in head]
     return ids
@@ -176,9 +184,10 @@ class TestEncode:
         vocab = build_vocab([corpus_of(["a b"])])
         corpus = corpus_of(self.POSTS)
         ids, lengths = token_ids(corpus, vocab)
-        assert lengths.tolist() == [len(t) for t in corpus.tokens]
+        assert lengths.tolist() == [len(t) for t in post_tokens(corpus)]
         lookup = vocab.token_to_id.get
-        assert ids.tolist() == [lookup(t, UNK_ID) for tokens in corpus.tokens for t in tokens]
+        assert ids.tolist() == [lookup(t, UNK_ID) for tokens in post_tokens(corpus)
+                                for t in tokens]
 
     def test_padding(self):
         vocab = build_vocab([corpus_of(["a b"])])
@@ -215,6 +224,125 @@ class TestChooseK:
     def test_uniform_quantile(self):
         c = corpus_of([" ".join(["w"] * n) for n in range(1, 101)])
         assert choose_k([c]) == 95
+
+
+# -- the flat token record against a per-post reference ------------------------
+
+# the Greek sigmas lower by context, İ lowers to two characters, and ``\x00`` is
+# neither whitespace nor punctuation
+HAZARDS = "\x00Σςσİ"
+SPECIAL_TEXTS = ["", "<pad>", "<unk>", "\x00", " \x00 ", "aΣ bΣc Σ", "İİ 疫情谣言", "a\x00b c"]
+
+
+def reference_vocab(per_post, min_count):
+    """``build_vocab``'s rule over per-post token lists."""
+    counts = Counter(t for tokens in per_post for t in tokens)
+    kept = sorted((t for t, c in counts.items()
+                   if c >= min_count and t not in (PAD_TOKEN, UNK_TOKEN)),
+                  key=lambda t: (-counts[t], t))
+    return {PAD_TOKEN: PAD_ID, UNK_TOKEN: UNK_ID, **{t: i + 2 for i, t in enumerate(kept)}}
+
+
+def check_against_per_post_tokenize(texts, k, min_count):
+    """Every reader of the flat record equals the same reader built from
+    ``tokenize(p.text)`` of each post."""
+    corpus = corpus_of(texts)
+    per_post = [tokenize(p.text) for p in corpus.posts]
+    assert post_tokens(corpus) == per_post
+    vocab = build_vocab([corpus], min_count=min_count)
+    assert vocab.token_to_id == reference_vocab(per_post, min_count)
+    lookup = vocab.token_to_id.get
+    ids, lengths = token_ids(corpus, vocab)
+    assert ids.tolist() == [lookup(t, UNK_ID) for tokens in per_post for t in tokens]
+    assert lengths.tolist() == list(map(len, per_post))
+    ids, lengths = token_ids(corpus, vocab, k)
+    assert ids.tolist() == [lookup(t, UNK_ID) for tokens in per_post for t in tokens[:k]]
+    assert lengths.tolist() == [min(len(tokens), k) for tokens in per_post]
+    rows = np.full((len(texts), k), PAD_ID, dtype=np.int64)
+    for row, tokens in zip(rows, per_post):
+        row[:min(len(tokens), k)] = [lookup(t, UNK_ID) for t in tokens[:k]]
+    assert np.array_equal(encode(corpus, vocab, k), rows)
+    lengths = sorted(map(len, per_post))
+    assert choose_k([corpus]) == min(MAX_K, max(4, lengths[math.ceil(0.95 * len(lengths)) - 1]))
+    table = random_table(len(vocab), 3, np.random.default_rng(len(texts)))
+    means = []
+    for tokens in per_post:
+        row_ids = np.array([lookup(t, UNK_ID) for t in tokens], dtype=np.int64)
+        row_ids = row_ids[row_ids != PAD_ID]
+        means.append(table.data[row_ids].mean(axis=0) if len(row_ids) else np.zeros(3))
+    assert np.array_equal(corpus_representations(corpus, vocab, table), np.stack(means))
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(st.one_of(
+           st.text(alphabet=ASCII_WORD + ASCII_MARKS + WHITESPACE + OTHER + HAZARDS),
+           st.text(alphabet=ASCII_WORD[:6] + " " + HAZARDS, max_size=12),
+           st.sampled_from(SPECIAL_TEXTS)), min_size=1, max_size=14),
+       block=st.sampled_from([1, 2, 3, 5, text.TOKENIZE_BLOCK]),
+       sample=st.sampled_from([1, 2, text.REPEAT_SAMPLE]),
+       per_post=st.sampled_from([-1, 0, 1, text.VOCAB_PER_POST, 10**9]),
+       k=st.integers(1, 6), min_count=st.integers(1, 2))
+def test_flat_record_matches_per_post_tokenize(texts, block, sample, per_post, k, min_count):
+    """A VOCAB_PER_POST of 10**9 takes every block's words as its units and -1
+    every block's texts; the others mix the two."""
+    with mock.patch.multiple(text, TOKENIZE_BLOCK=block, REPEAT_SAMPLE=sample,
+                             VOCAB_PER_POST=per_post):
+        check_against_per_post_tokenize(texts, k, min_count)
+
+
+def edge_corpus():
+    """Repeating posts for one block, hazards on both sides of its edge, then
+    posts of distinct words."""
+    n = text.TOKENIZE_BLOCK
+    texts = [f"w{i % 7} Word{i % 3}, 疫{i % 2}" for i in range(n)]
+    texts[n - 2:] = ["aΣ", "Σb"]
+    return texts + ["疫情 x", "<pad> <unk>", "a\x00b", "\x00"] + [
+        f"u{i} v{i}. 疫{i}" for i in range(text.REPEAT_SAMPLE)]
+
+
+@pytest.mark.parametrize("per_post", [
+    pytest.param(10**9, id="words-then-words"),
+    pytest.param(text.VOCAB_PER_POST, id="words-then-texts"),
+    pytest.param(-1, id="texts-then-texts"),
+])
+def test_flat_record_across_a_real_block_edge(per_post, monkeypatch):
+    """Posts on both sides of the first TOKENIZE_BLOCK edge; by default the
+    first block's words repeat and the second block's do not."""
+    calls = []
+    tokenize_unit = text.tokenize
+    monkeypatch.setattr(text, "tokenize", lambda unit: calls.append(unit) or tokenize_unit(unit))
+    monkeypatch.setattr(text, "VOCAB_PER_POST", per_post)
+    texts = edge_corpus()
+    check_against_per_post_tokenize(texts, k=3, min_count=2)
+    n = text.TOKENIZE_BLOCK
+    blocks = [texts[:n], texts[n:]]
+    words = [len({w for t in block for w in t.lower().split()}) for block in blocks]
+    posts = list(map(len, blocks))
+    expected = {10**9: words, -1: posts}.get(per_post, [words[0], posts[1]])
+    assert len(calls) == sum(expected)
+
+
+def test_encode_keeps_no_object_per_token_occurrence():
+    """Encoding a fresh corpus whose words repeat (3,003 words, 40 a post, so
+    every block is read by word) keeps a few bytes per token occurrence on
+    it, where a Python object per occurrence (a list slot and a str) takes
+    over 60, and peaks below 40 bytes per occurrence. Measured on the
+    per-post token lists these replace: 63 bytes kept and 77 at the peak. A
+    block read by text keeps a str per token occurrence, as those lists did."""
+    rng = np.random.default_rng(0)
+    words = np.array([f"w{i}" for i in range(3000)] + ["ok,", "(see)", "--"])
+    texts = [" ".join(row) for row in rng.choice(words, size=(20_000, 40))]
+    vocab = build_vocab([corpus_of(texts[:100])])
+    corpus = corpus_of(texts)
+    occurrences = 40 * len(texts)
+    tracemalloc.start()
+    try:
+        ids = encode(corpus, vocab, 32)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current - ids.nbytes < 16 * occurrences
+    assert peak < 40 * occurrences
 
 
 class TestEmbed:

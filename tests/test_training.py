@@ -2,6 +2,7 @@ import json
 import math
 import threading
 import tracemalloc
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -24,7 +25,7 @@ from metadetector.training import (
     total_loss,
     train,
 )
-from helpers import add, mul, nan_gradient_at, total
+from helpers import add, mul, nan_gradient_at, post_tokens, total
 
 LN2 = math.log(2.0)
 
@@ -270,19 +271,28 @@ class TestTrain:
             train(source, target, TrainConfig(epochs=1, batch_size=10))
 
     def test_train_tokenizes_each_post_once(self, monkeypatch):
+        """``tokenize`` runs once on each distinct whitespace word of a corpus
+        (of one block), or once on each post's text, so no post's text is
+        tokenized twice."""
         spec = SynthSpec(n_source=60, n_target=40, post_length=8, seed=2)
         source, target = generate(spec)
-        calls = []
+        words = [Counter({w for p in c.posts for w in p.text.lower().split()})
+                 for c in (source, target)]
+        texts = [Counter(p.text for p in c.posts) for c in (source, target)]
         tokenize = text.tokenize
+        for per_post, units in ((10**9, words), (-1, texts)):  # every block's words, or texts
+            calls = []
 
-        def counted(post_text):
-            calls.append(post_text)
-            return tokenize(post_text)
+            def counted(unit):
+                calls.append(unit)
+                return tokenize(unit)
 
-        monkeypatch.setattr(text, "tokenize", counted)
-        train(source, target, TrainConfig(epochs=2, batch_size=20,
-                                          embedding_dim=8, n_filters=4))
-        assert len(calls) == len(source) + len(target)
+            monkeypatch.setattr(text, "tokenize", counted)
+            monkeypatch.setattr(text, "VOCAB_PER_POST", per_post)
+            source, target = generate(spec)
+            train(source, target, TrainConfig(epochs=2, batch_size=20,
+                                              embedding_dim=8, n_filters=4))
+            assert Counter(calls) == units[0] + units[1]
 
     def test_non_finite_gradient_stops_before_any_update(self, monkeypatch):
         from metadetector import training
@@ -318,7 +328,7 @@ class TestTrain:
 
         spec = SynthSpec(n_source=60, n_target=60, post_length=8, seed=4)
         source, target = generate(spec)
-        tokens = sorted({t for c in (source, target) for post in c.tokens for t in post})
+        tokens = sorted({t for c in (source, target) for post in post_tokens(c) for t in post})
         vectors = tmp_path / "vectors.txt"
         rng = np.random.default_rng(5)
         vectors.write_text(f"{len(tokens) // 2} 6\n" + "".join(
