@@ -25,13 +25,16 @@ from .autodiff import (
     text_cnn,
 )
 from .errors import CheckpointError, ConfigurationError
-from .text import MAX_DIM, MAX_K, PAD_TOKEN, UNK_TOKEN, Vocabulary
+from .text import MAX_DIM, MAX_FILTERS, MAX_K, PAD_TOKEN, UNK_TOKEN, Vocabulary
 
 FEATURE_DIM = 32
 DISC_HIDDEN = 32
 # the most float64s (2 GiB) that a model's parameters, or the text_cnn
 # temporaries of one batch, may hold
 MAX_FLOATS = 2 ** 28
+# the id rows of one scoring block (see evaluation._chunks), and so the
+# smallest batch check_size passes a model on
+FORWARD_BLOCK = 500
 
 
 def _init_array(rng: np.random.Generator, shape: tuple[int, ...]) -> Tensor:
@@ -108,11 +111,19 @@ def _disc_shapes():
             ("w2", (1, DISC_HIDDEN)), ("b2", (1,)))
 
 
+def _seed_streams(seed: int) -> list[np.random.Generator]:
+    """Batch-order, dropout and embedding-table generators of a run seed."""
+    return [np.random.default_rng(s)
+            for s in np.random.SeedSequence(seed).spawn(3)]
+
+
 def init_model(vocab: Vocabulary, table: Tensor, k: int, seed: int,
                n_filters: int, w_max: int,
                config_snapshot: Optional[dict] = None) -> ModelParams:
     """A fresh model around ``table``; arrays are drawn in layout order."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    # train's batch-order stream, so both make the same draws; a stream of its own
+    # moves every trained model, so it waits for the weight normalization to do so
+    rng = _seed_streams(seed)[0]
     tensors = {name: table if name == "embedding" else _init_array(rng, shape)
                for name, shape in _array_shapes(*table.shape, w_max, n_filters)}
     return ModelParams(tensors, vocab, k, seed, dict(config_snapshot or {}))
@@ -253,10 +264,18 @@ def _array_shapes(n_vocab: int, d: int, w_max: int, n_filters: int):
 
 
 def check_size(n_vocab: int, d: int, w_max: int, n_filters: int, k: int,
-               rows: int) -> None:
-    """Refuse a model whose parameters, or whose ``text_cnn`` temporaries on
-    a batch of ``rows`` id rows of length ``k`` (``cols``, ``bank`` and
-    ``conv``, held at once), would hold more than MAX_FLOATS."""
+               rows: int = FORWARD_BLOCK) -> None:
+    """The size rule of every model, made or loaded: ConfigurationError unless
+    1 <= d <= MAX_DIM, 1 <= n_filters <= MAX_FILTERS and 1 <= w_max <= k <= MAX_K
+    (checked first: the parameter count loops over ``w_max``), or if the
+    parameters, or the ``text_cnn`` temporaries of a batch of ``rows`` rows
+    (``cols``, ``bank`` and ``conv``, held at once), exceed MAX_FLOATS."""
+    for name, value, high in (("d", d, MAX_DIM), ("n_filters", n_filters, MAX_FILTERS),
+                              ("w_max", w_max, MAX_K), ("k", k, MAX_K)):
+        if not 1 <= value <= high:
+            raise ConfigurationError(f"{name} = {value} is outside [1, {high}]")
+    if k < w_max:
+        raise ConfigurationError(f"k = {k} is below w_max = {w_max}")
     n_out = w_max * n_filters
     sizes = {"parameters": sum(math.prod(shape) for _, shape in
                                _array_shapes(n_vocab, d, w_max, n_filters)),
@@ -286,14 +305,9 @@ def _check_meta(meta) -> None:
         if type(meta[name]) is not kind:
             raise CheckpointError(f"metadata {name!r} must be a JSON {kind.__name__}, "
                                   f"got {meta[name]!r}")
-    for name, low in (("seed", 0), ("k", 1), ("w_max", 1), ("n_filters", 1),
-                      ("vocab_min_count", 1)):
+    for name, low in (("seed", 0), ("vocab_min_count", 1)):
         if meta[name] < low:
             raise CheckpointError(f"metadata {name!r} out of range: {meta[name]}")
-    if meta["k"] > MAX_K:
-        raise CheckpointError(f"metadata 'k' out of range: {meta['k']} > {MAX_K}")
-    if meta["k"] < meta["w_max"]:
-        raise CheckpointError(f"k = {meta['k']} is below w_max = {meta['w_max']}")
     if not all(isinstance(t, str) for t in meta["vocab_tokens"]):
         raise CheckpointError("metadata 'vocab_tokens' must be a list of strings")
     if meta["vocab_tokens"][:2] != [PAD_TOKEN, UNK_TOKEN]:
@@ -303,10 +317,11 @@ def _check_meta(meta) -> None:
 
 def load_checkpoint(path: str) -> ModelParams:
     """Read a checkpoint; a file that is not a complete, well-formed one
-    raises CheckpointError naming ``path``."""
+    raises CheckpointError naming ``path``, and so does a model that
+    :func:`check_size` refuses."""
     try:
         return _read_checkpoint(path)
-    except CheckpointError as exc:
+    except (CheckpointError, ConfigurationError) as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     except KeyError as exc:  # a missing array or metadata field
         raise CheckpointError(f"{path}: incomplete checkpoint ({exc.args[0]})") from None
@@ -339,7 +354,8 @@ def _read_checkpoint(path: str) -> ModelParams:
         fh.seek(0)
         npz = np.load(fh, allow_pickle=False)
         # every header is checked before its data is read, so no size the
-        # file declares is allocated unless the metadata agrees with it
+        # file declares is allocated unless the metadata agrees with it and
+        # check_size passes the model
         shape, dtype = _header(npz, "__meta__")
         if shape != () or dtype.kind != "U":
             raise CheckpointError(f"metadata is {dtype} of shape {shape}, expected a string")
@@ -354,9 +370,9 @@ def _read_checkpoint(path: str) -> ModelParams:
         if vocab_hash(vocab) != meta["vocab_hash"]:
             raise CheckpointError("vocabulary hash mismatch; checkpoint is corrupt")
         emb_shape, _ = _header(npz, "embedding")
-        if len(emb_shape) != 2 or not 1 <= emb_shape[1] <= MAX_DIM:
-            raise CheckpointError(f"embedding has shape {emb_shape}, "
-                                  f"expected (|V|, d) with 1 <= d <= {MAX_DIM}")
+        if len(emb_shape) != 2:
+            raise CheckpointError(f"embedding has shape {emb_shape}, expected (|V|, d)")
+        check_size(len(vocab), emb_shape[1], meta["w_max"], meta["n_filters"], meta["k"])
         shapes = dict(_array_shapes(len(vocab), emb_shape[1],
                                     meta["w_max"], meta["n_filters"]))
         for name, shape in shapes.items():

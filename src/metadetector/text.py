@@ -27,9 +27,9 @@ PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 # the longest sequence length k: choose_k's cap, and the bound on a set or saved k
 MAX_K = 256
-# the widest embedding a vector file may declare, checked before the table is made
+# the widest embedding a config, a vector file or a checkpoint may give
 MAX_DIM = 4096
-# the most filters per window size a config may set, checked before the model is made
+# the most filters per window size a config or a checkpoint may give
 MAX_FILTERS = 1024
 # EventCorpus.tokens reads TOKENIZE_BLOCK posts at a time, by word if Chao1's estimate of the
 # block's vocabulary from REPEAT_SAMPLE posts is at most VOCAB_PER_POST a post, else by text

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
 from typing import Callable, Iterable, Iterator, Optional
@@ -19,10 +20,12 @@ import numpy as np
 
 from .autodiff import Tensor, _clamped_log, _op, backward, split_rows
 from .errors import ConfigurationError, ContractError, NumericalError
-from .evaluation import FORWARD_BLOCK, predict
+from .evaluation import predict
 from .mmd import ShiftReport, shift_gate
 from .model import (
+    FORWARD_BLOCK,
     ModelParams,
+    _seed_streams,
     check_size,
     detect,
     discriminate_event,
@@ -80,7 +83,8 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("lambda_", "mu", "d_star", "lr", "dropout"):
-            if not math.isfinite(getattr(self, name)):
+            # false for NaN, an infinity and an integer too large for a float
+            if not abs(getattr(self, name)) <= sys.float_info.max:
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         for name, high in (("embedding_dim", MAX_DIM), ("n_filters", MAX_FILTERS),
                            ("w_max", MAX_K)):
@@ -256,42 +260,28 @@ def _check_finite_grads(named: dict[str, Tensor], epoch: int) -> None:
             raise NumericalError(f"non-finite gradient of {name} at epoch {epoch}")
 
 
-def _seed_streams(seed: int) -> list[np.random.Generator]:
-    """Batch-order, dropout and embedding-table generators of a run seed."""
-    return [np.random.default_rng(s)
-            for s in np.random.SeedSequence(seed).spawn(3)]
-
-
 def prepare(source: EventCorpus, target: EventCorpus, config: TrainConfig
             ) -> tuple[Vocabulary, int, Tensor, ShiftReport]:
     """The vocabulary, sequence length, embedding table and shift gate of a run.
 
-    A window size ``w_max`` above the sequence length, or a model that
-    :func:`model.check_size` refuses on a batch as large as a training step
-    or a scoring block, is refused before the gate runs; a random table is
-    not drawn either, while a pretrained one is read first, since its file
-    gives its width.
+    A model that :func:`model.check_size` refuses on a batch as large as a
+    training step or a scoring block is refused before the gate runs; a
+    random table is not drawn either, while a pretrained one is read first,
+    since its file gives its width.
 
     The table is random or pretrained, frozen or not, and drawn from the
     run seed's embedding-table generator, so ``config.seed`` fixes it.
     """
     vocab = build_vocab([source, target], min_count=config.min_count)
     k = config.k if config.k is not None else choose_k([source, target])
-    if config.w_max > k:
-        raise ConfigurationError(
-            f"w_max = {config.w_max} exceeds the sequence length k = {k}")
-
-    def check(d: int) -> None:
-        check_size(len(vocab), d, config.w_max, config.n_filters, k,
-                   rows=max(config.batch_size, FORWARD_BLOCK))
-
     emb_rng = _seed_streams(config.seed)[2]
-    if config.pretrained_vectors:
-        table = load_pretrained_vectors(config.pretrained_vectors, vocab, emb_rng)
-        check(table.shape[1])
-    else:
-        check(config.embedding_dim)
-        table = random_table(len(vocab), config.embedding_dim, emb_rng)
+    table = (load_pretrained_vectors(config.pretrained_vectors, vocab, emb_rng)
+             if config.pretrained_vectors else None)
+    d = config.embedding_dim if table is None else table.shape[1]
+    check_size(len(vocab), d, config.w_max, config.n_filters, k,
+               rows=max(config.batch_size, FORWARD_BLOCK))
+    if table is None:
+        table = random_table(len(vocab), d, emb_rng)
     if config.freeze_embeddings:
         table.requires_grad = False
     shift = shift_gate(source, target, vocab, table, d_star=config.d_star)

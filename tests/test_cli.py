@@ -16,7 +16,7 @@ from hypothesis import given, settings
 
 from metadetector.cli import build_parser, main
 from metadetector.model import vocab_hash
-from metadetector.text import Vocabulary, load_corpus
+from metadetector.text import MAX_FILTERS, Vocabulary, load_corpus
 from helpers import nan_gradient_at
 
 
@@ -496,6 +496,16 @@ def _huge_header(name, descr, shape):
     return tamper
 
 
+def _filters_above_max(arrays, meta):
+    """Every filter bank widened to MAX_FILTERS + 1 filters, arrays and
+    metadata in agreement, as such a model saves them."""
+    n = meta["n_filters"] = MAX_FILTERS + 1
+    for name, a in list(arrays.items()):
+        if name.startswith(("f_filter_", "f_bias_")):
+            arrays[name] = np.zeros((n, *a.shape[1:]))
+    arrays["f_w_fc"] = np.zeros((arrays["f_w_fc"].shape[0], meta["w_max"] * n))
+
+
 # a saved checkpoint's arrays and metadata, and one change that spoils them
 CHECKPOINT_TAMPERS = {
     "checkpoint-no-meta": lambda arrays, meta: arrays.pop("__meta__"),
@@ -510,6 +520,7 @@ CHECKPOINT_TAMPERS = {
     "checkpoint-pad-moved": _move_pad,
     "checkpoint-embedding-header-huge": _huge_header("embedding", "<f8", (10**12, 32)),
     "checkpoint-meta-header-huge": _huge_header("__meta__", "<U100000000", ()),
+    "checkpoint-n-filters-above-max": _filters_above_max,
 }
 
 # a bad command-line argument, and the name its error must give
@@ -567,6 +578,7 @@ def _write_bad_input(case, d, checkpoint):
                              "config-w-max-huge": '{"w_max": 1000000000}',
                              "config-w-max-above-k": '{"w_max": 9, "k": 8}',
                              "config-seed-negative": '{"seed": -3}',
+                             "config-lr-huge-integer": '{"lr": 1' + "0" * 400 + "}",
                              "config-embedding-dim-huge":
                                  '{"embedding_dim": 1000000000000}'}[case])
         return path, "config"
@@ -615,7 +627,8 @@ BAD_INPUTS = ["corpus-missing", "corpus-array-line", "corpus-text-not-string",
               "config-embedding-dim-zero", "config-w-max-zero", "config-lr-nan",
               "config-lambda-infinite", "config-k-above-max", "config-embedding-dim-huge",
               "config-n-filters-huge", "config-w-max-huge", "config-w-max-above-k",
-              "config-seed-negative", *BAD_ARGUMENTS, *BAD_VECTORS]
+              "config-seed-negative", "config-lr-huge-integer", *BAD_ARGUMENTS,
+              *BAD_VECTORS]
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from metadetector.autodiff import Tensor, backward
+from metadetector import model
 from metadetector.errors import CheckpointError, ConfigurationError
 from metadetector.model import (
     detect,
@@ -21,7 +23,7 @@ from metadetector.model import (
     _array_shapes,
     _discriminator_head,
 )
-from metadetector.text import MAX_K
+from metadetector.text import MAX_FILTERS, MAX_K
 from metadetector.training import sgd_step, total_loss
 from helpers import build_tiny_model, forward_losses, init_discriminator, random_batch, total
 
@@ -349,6 +351,33 @@ def test_k_below_w_max_rejected(saved_checkpoint, tmp_path):
              **arrays)
     with pytest.raises(CheckpointError, match="below w_max"):
         load_checkpoint(path)
+
+
+def test_checkpoint_with_too_many_filters_rejected(tmp_path):
+    """A checkpoint that a model of MAX_FILTERS + 1 filters saved, arrays and
+    metadata in agreement, is refused as a config of that width is."""
+    path = str(tmp_path / "model.npz")
+    save_checkpoint(build_tiny_model(n_filters=MAX_FILTERS + 1), path)
+    with pytest.raises(CheckpointError, match=f"{re.escape(path)}: n_filters"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_too_large_rejected_before_its_arrays_are_read(tmp_path, monkeypatch):
+    """With MAX_FLOATS below a saved model's parameter count, loading stops
+    at the headers: the peak stays well below the bytes of its arrays."""
+    params = build_tiny_model(vocab_size=100, dim=4096)  # about 510k floats
+    path = str(tmp_path / "model.npz")
+    save_checkpoint(params, path)
+    monkeypatch.setattr(model, "MAX_FLOATS", 100_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match=re.escape(path)) as info:
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "model's parameters would hold" in str(info.value)
+    assert peak < sum(t.data.nbytes for t in params.tensors.values()) / 8
 
 
 @settings(max_examples=150, deadline=None)
